@@ -44,10 +44,14 @@ from .sequences import cauchy_detect, pairwise_table
 from .spectral import dft, u2_direct, u2_fourier
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"non-finite number {name} is not valid JSON")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}")
     except json.JSONDecodeError as e:
@@ -75,10 +79,9 @@ def _emit(payload: dict, started: float, **meta):
     payload["meta"] = {
         "version": __version__,
         "timing_s": time.monotonic() - started,
-        "threads": int(os.environ.get("GROUPLIM_THREADS", "1")),
         **meta,
     }
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def _complex_json(z: complex):
@@ -103,13 +106,9 @@ def _read_config_file(path: str) -> dict:
 @click.group(name="grouplim")
 @click.option("--config-file", type=click.Path(exists=True), default=None,
               help="key=value file supplying option defaults for batch runs")
-@click.option("--threads", type=int, default=None,
-              help="thread count (results are deterministic regardless)")
 @click.pass_context
-def cli(ctx, config_file, threads):
+def cli(ctx, config_file):
     """Limit-theory toolkit for functions on finite abelian groups."""
-    if threads is not None:
-        os.environ["GROUPLIM_THREADS"] = str(threads)
     if config_file:
         defaults = _read_config_file(config_file)
         ctx.default_map = {

@@ -23,3 +23,10 @@ class BudgetError(GrouplimError):
     Distinguishable from a definite negative answer: the search was cut
     short, nothing is known about the remainder.
     """
+
+
+def check_seed(seed: int) -> None:
+    """Reject a user seed that cannot key a Philox stream (keys are
+    unsigned)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")

@@ -1,6 +1,10 @@
 """Numerical minimization of configuration densities at fixed mean over
 Z_p: projected gradient descent on {f : Z_p -> [0,1], E(f) = delta}.
 
+Objective and gradient both come from the dual constraint lattice of
+linconfig, computed once per minimize_density call; density_brute serves
+only as the oracle the tests check them against.
+
 The reported values are upper bounds on the minimal density for that p;
 the limit over growing primes is what the extremal problem is about, and
 no rate is available, so results are labeled per-p.
@@ -14,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from sympy import isprime
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
-from .linconfig import ConfigSystem, DensityEvaluator
+from .linconfig import ConfigSystem, dual_constraint_solutions, dual_gradient, form_products
+from .spectral import spectrum_array
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -54,8 +59,8 @@ def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> n
     real-valued f."""
     if not f.is_real(1e-9):
         raise ValidationError("density gradient is defined for real-valued functions")
-    ev = DensityEvaluator(config, f.group, budget=budget)
-    return ev.gradient_single(f.values.real)
+    sols = dual_constraint_solutions(config, f.group, budget=budget)
+    return dual_gradient(sols, spectrum_array(DenseFn(f.group, f.values.real)), f.group)
 
 
 def project_box_mean(v: np.ndarray, delta: float, tol: float = 1e-12) -> np.ndarray:
@@ -98,16 +103,26 @@ def project_box_mean(v: np.ndarray, delta: float, tol: float = 1e-12) -> np.ndar
 
 
 def _pgd(
-    ev: DensityEvaluator,
+    sols: np.ndarray,
+    group: GroupSpec,
     start: np.ndarray,
     delta: float,
     max_iter: int,
     grad_tol: float,
 ) -> tuple[np.ndarray, float, float, list[tuple[int, float]]]:
+    def spectrum(u):
+        return spectrum_array(DenseFn(group, u))
+
+    def value(u):
+        return float(np.sum(form_products(spectrum(u)[None], sols)).real)
+
+    def gradient(u):
+        return dual_gradient(sols, spectrum(u), group)
+
     f = project_box_mean(start, delta)
-    val = ev.value_single(f).real
+    val = value(f)
     trace = [(0, val)]
-    grad = ev.gradient_single(f)
+    grad = gradient(f)
     # spectral (Barzilai-Borwein) initial step with a nonmonotone Armijo
     # safeguard; a fixed unit step crawls through the flat valleys of this
     # multilinear objective
@@ -122,14 +137,14 @@ def _pgd(
         accepted = False
         while step > 1e-16:
             cand = project_box_mean(f - step * grad, delta)
-            cval = ev.value_single(cand).real
+            cval = value(cand)
             if cval <= reference + ARMIJO_C * float(np.dot(grad, cand - f)):
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
         if not accepted:
             break
-        new_grad = ev.gradient_single(cand)
+        new_grad = gradient(cand)
         s = cand - f
         sy = float(np.dot(s, new_grad - grad))
         if sy > 0.0:
@@ -163,6 +178,7 @@ def minimize_density(
     group.  Deterministic given seed; restart r uses an RNG stream keyed by
     (seed, r), the constant function f = delta is always tried, and the
     best final value wins (ties broken by restart index)."""
+    check_seed(seed)
     if group is None:
         if not unsafe_group and not isprime(p):
             raise ValidationError(
@@ -172,7 +188,7 @@ def minimize_density(
         group = make_group([p])
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
-    ev = DensityEvaluator(config, group)
+    sols = dual_constraint_solutions(config, group)
     n = group.order
 
     starts = [np.full(n, delta)]
@@ -182,7 +198,7 @@ def minimize_density(
 
     best = None
     for r, start in enumerate(starts):
-        f, val, gnorm, trace = _pgd(ev, start, delta, max_iter, grad_tol)
+        f, val, gnorm, trace = _pgd(sols, group, start, delta, max_iter, grad_tol)
         if best is None or val < best[1] - 0.0:
             best = (f, val, gnorm, trace)
     f, val, gnorm, trace = best

@@ -78,12 +78,8 @@ def cayley_kernel(f: DenseFn) -> Kernel:
             f"group order {n} exceeds kernel guard {KERNEL_MAX_ORDER}; "
             "use the configuration-density route instead"
         )
-    moduli = np.array(G.moduli, dtype=np.int64)
-    coords = np.array(list(G.elements()), dtype=np.int64)
-    radix = np.ones(len(moduli), dtype=np.int64)
-    for j in range(len(moduli) - 2, -1, -1):
-        radix[j] = radix[j + 1] * moduli[j + 1]
-    add_idx = ((coords[:, None, :] + coords[None, :, :]) % moduli) @ radix
+    coords = G.coord_array()
+    add_idx = G.flat_index(coords[:, None, :] + coords[None, :, :])
     return Kernel(G, f.values[add_idx])
 
 
@@ -98,13 +94,10 @@ def hom_density(H: Graph, W: Kernel, budget: int = HOM_BUDGET) -> complex:
     acc = 0.0 + 0.0j
     for start in range(0, total, CHUNK):
         flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        var_idx = np.empty((len(flat), H.n), dtype=np.int64)
-        rem = flat
-        for v in range(H.n - 1, -1, -1):
-            rem, var_idx[:, v] = np.divmod(rem, N)
+        var_idx = np.unravel_index(flat, (N,) * H.n)
         prod = np.ones(len(flat), dtype=np.complex128)
         for i, j in H.edges:
-            prod *= mat[var_idx[:, i], var_idx[:, j]]
+            prod *= mat[var_idx[i], var_idx[j]]
         acc += np.sum(prod)
     return complex(acc / total)
 

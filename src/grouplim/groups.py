@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import UnsupportedError, ValidationError
 
 Elem = tuple[int, ...]
@@ -104,7 +106,8 @@ class GroupSpec:
 
     def elements(self) -> Iterator[Elem]:
         """All elements in mixed-radix order (first coordinate most
-        significant); index_of/elem_at expose the same bijection."""
+        significant); index_of/elem_at and their vectorized forms
+        flat_index/coord_array expose the same bijection."""
         if not self.is_finite:
             raise UnsupportedError("cannot enumerate an infinite group")
 
@@ -134,6 +137,22 @@ class GroupSpec:
             idx, c = divmod(idx, m)
             coords.append(c)
         return tuple(reversed(coords))
+
+    def coord_array(self) -> np.ndarray:
+        """Coordinates of every element, shape (order, rank), row i being
+        elem_at(i)."""
+        if not self.is_finite:
+            raise UnsupportedError("cannot index elements of an infinite group")
+        return np.stack(np.unravel_index(np.arange(self.order), self.moduli), axis=-1)
+
+    def flat_index(self, coords) -> np.ndarray:
+        """Vectorized index_of: the trailing axis of coords holds element
+        coordinates, each reduced mod its modulus (negative ones too)."""
+        if not self.is_finite:
+            raise UnsupportedError("cannot index elements of an infinite group")
+        coords = np.asarray(coords, dtype=np.int64)
+        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), self.moduli,
+                                    mode="wrap")
 
     # -- serialization -------------------------------------------------------
 

@@ -3,8 +3,15 @@
 A configuration is a list of integer-coefficient linear forms in n
 variables; its density in a function system is the average over all
 uniform variable assignments of the product of the functions evaluated at
-the forms.  Two evaluation routes are provided: direct summation and a
-character-orthogonality sum over the dual constraint lattice.
+the forms.
+
+All Fourier-side work runs on one engine: the dual constraint lattice
+{r : Lambda^T r = 0}, enumerated once as an (S, k) array by
+dual_constraint_solutions.  The density is a gather and product over its
+rows (density_fourier) and the gradient in the values of a real function
+is one FFT of the leave-one-out products (dual_gradient), which is what
+the optimizer in extremal runs on.  Direct summation (density_brute) is
+kept as the independent oracle, and Monte Carlo sampling as an estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 from sympy import Matrix, Rational
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec
 from .intlattice import kernel_mod_m
@@ -122,81 +129,31 @@ def builtin_config(name: str) -> ConfigSystem:
     raise ValidationError(f"unknown configuration name '{name}'")
 
 
-def _as_system(F, k: int) -> list[DenseFn]:
-    if isinstance(F, DenseFn):
-        return [F] * k
-    F = list(F)
-    if len(F) != k:
-        raise ValidationError(f"function system has {len(F)} entries, need {k}")
-    return F
+def _as_system(F, k: int, group: Optional[GroupSpec]) -> tuple[list[DenseFn], GroupSpec]:
+    """The k functions of a system (one function stands for all k) and the
+    group they share."""
+    Fs = [F] * k if isinstance(F, DenseFn) else list(F)
+    if len(Fs) != k:
+        raise ValidationError(f"function system has {len(Fs)} entries, need {k}")
+    if group is None:
+        group = Fs[0].group
+    if any(f.group != group for f in Fs):
+        raise ValidationError("all functions must live on the same group")
+    return Fs, group
 
 
-class DensityEvaluator:
-    """Precomputed index tables for repeated density/gradient evaluation of
-    one configuration on one finite group.  Used by the optimizer, where
-    the same objective is evaluated thousands of times."""
+def form_products(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row-wise products prod_j tables[j, idx[:, j]] for an (L, k) index
+    array.  Row j of tables belongs to form j; a single row serves every
+    form."""
+    return np.prod(np.take_along_axis(tables, idx.T, axis=1), axis=0)
 
-    def __init__(self, config: ConfigSystem, group: GroupSpec, budget: int = DENSITY_BUDGET):
-        if not group.is_finite:
-            raise ValidationError("density evaluation needs a finite group")
-        self.config = config
-        self.group = group
-        n = config.arity
-        N = group.order
-        total = N**n
-        if total > budget:
-            raise BudgetError(
-                f"|A|^n = {total} exceeds evaluation budget {budget}; "
-                "use the fourier or monte-carlo route"
-            )
-        self.total = total
-        moduli = np.array(group.moduli, dtype=np.int64)
-        coords = np.array(list(group.elements()), dtype=np.int64)  # (N, s)
-        radix = np.ones(len(moduli), dtype=np.int64)
-        for j in range(len(moduli) - 2, -1, -1):
-            radix[j] = radix[j + 1] * moduli[j + 1]
-        # variable assignment indices for every tuple, shape (total, n)
-        flat = np.arange(total, dtype=np.int64)
-        var_idx = np.empty((total, n), dtype=np.int64)
-        rem = flat
-        for v in range(n - 1, -1, -1):
-            rem, var_idx[:, v] = np.divmod(rem, N)
-        # per-form element indices, shape (total, k)
-        k = config.size
-        form_idx = np.empty((total, k), dtype=np.int64)
-        lam = np.array(config.matrix(), dtype=np.int64)  # (k, n)
-        for fi in range(k):
-            acc = np.zeros((total, len(moduli)), dtype=np.int64)
-            for v in range(n):
-                c = lam[fi, v]
-                if c:
-                    acc += c * coords[var_idx[:, v]]
-            form_idx[:, fi] = (acc % moduli) @ radix
-        self.form_idx = form_idx
 
-    def value(self, values_list: Sequence[np.ndarray]) -> complex:
-        prod = values_list[0][self.form_idx[:, 0]].copy()
-        for fi in range(1, self.config.size):
-            prod *= values_list[fi][self.form_idx[:, fi]]
-        return complex(np.sum(prod) / self.total)
-
-    def value_single(self, values: np.ndarray) -> complex:
-        return self.value([values] * self.config.size)
-
-    def gradient_single(self, values: np.ndarray) -> np.ndarray:
-        """Exact partial derivatives of t(L, f) with respect to each table
-        entry of a single real-valued f."""
-        k = self.config.size
-        N = self.group.order
-        cols = [values[self.form_idx[:, fi]] for fi in range(k)]
-        grad = np.zeros(N, dtype=np.float64)
-        for fi in range(k):
-            loo = np.ones(self.total, dtype=np.float64)
-            for fj in range(k):
-                if fj != fi:
-                    loo *= cols[fj]
-            grad += np.bincount(self.form_idx[:, fi], weights=loo, minlength=N)
-        return grad / self.total
+def _form_indices(config: ConfigSystem, group: GroupSpec, var_idx: np.ndarray) -> np.ndarray:
+    """Flat element index of every form at each assignment: var_idx is
+    (L, n) element indices of the variables, the result is (L, k)."""
+    lam = np.array(config.matrix(), dtype=np.int64)
+    return group.flat_index(lam @ group.coord_array()[var_idx])
 
 
 def density_brute(
@@ -206,13 +163,9 @@ def density_brute(
     budget: int = DENSITY_BUDGET,
 ) -> complex:
     """Exact configuration density by direct summation over all variable
-    assignments, chunked so memory stays bounded."""
-    Fs = _as_system(F, config.size)
-    if group is None:
-        group = Fs[0].group
-    for f in Fs:
-        if f.group != group:
-            raise ValidationError("all functions must live on the same group")
+    assignments, chunked so memory stays bounded.  Independent of the
+    Fourier side, so it is the oracle for the dual-lattice routes."""
+    Fs, group = _as_system(F, config.size, group)
     n = config.arity
     N = group.order
     total = N**n
@@ -221,68 +174,64 @@ def density_brute(
             f"|A|^n = {total} exceeds evaluation budget {budget}; "
             "use density_fourier or monte-carlo sampling"
         )
-    moduli = np.array(group.moduli, dtype=np.int64)
-    coords = np.array(list(group.elements()), dtype=np.int64)
-    radix = np.ones(len(moduli), dtype=np.int64)
-    for j in range(len(moduli) - 2, -1, -1):
-        radix[j] = radix[j + 1] * moduli[j + 1]
-    lam = np.array(config.matrix(), dtype=np.int64)
+    values = np.stack([f.values for f in Fs])
     acc_sum = 0.0 + 0.0j
     for start in range(0, total, CHUNK):
         flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        var_idx = np.empty((len(flat), n), dtype=np.int64)
-        rem = flat
-        for v in range(n - 1, -1, -1):
-            rem, var_idx[:, v] = np.divmod(rem, N)
-        prod = np.ones(len(flat), dtype=np.complex128)
-        for fi in range(config.size):
-            acc = np.zeros((len(flat), len(moduli)), dtype=np.int64)
-            for v in range(n):
-                c = lam[fi, v]
-                if c:
-                    acc += c * coords[var_idx[:, v]]
-            idx = (acc % moduli) @ radix
-            prod *= Fs[fi].values[idx]
-        acc_sum += np.sum(prod)
+        var_idx = np.stack(np.unravel_index(flat, (N,) * n), axis=-1)
+        acc_sum += np.sum(form_products(values, _form_indices(config, group, var_idx)))
     return complex(acc_sum / total)
 
 
 def dual_constraint_solutions(
     config: ConfigSystem, group: GroupSpec, budget: int = DENSITY_BUDGET
-) -> list[tuple[int, ...]]:
-    """All dual assignments (r_1..r_k), as flat dual-element indices, that
-    satisfy sum_j lambda_{j,m} r_j = 0 in the dual for every variable m.
+) -> np.ndarray:
+    """All dual assignments (r_1..r_k) that satisfy sum_j lambda_{j,m} r_j
+    = 0 in the dual for every variable m, as an (S, k) array of flat
+    dual-element indices.
 
     The congruences decouple across the coordinate factors of the dual, so
     each factor's solution group is enumerated separately (via the integer
-    kernel of the lifted system) and the results are combined."""
+    kernel of the lifted system) and the factors are combined by
+    broadcasting, the first factor varying slowest.
+
+    S = N^k / |im Lambda^T|.  For ap3, parallelogram and every graph up to
+    K5 that is at most the N^n assignments density_brute sums over; denser
+    graphs have more (K6 on Z_5: 5^9 points against 5^6 assignments)."""
+    if not group.is_finite:
+        raise ValidationError("density evaluation needs a finite group")
     k = config.size
-    lam_t = [[config.matrix()[j][m] for j in range(k)] for m in range(config.arity)]
-    per_coord: list[list[tuple[int, ...]]] = []
+    lam_t = [list(col) for col in zip(*config.matrix())]
+    per_coord = []
     total = 1
-    for m in group.moduli:
-        sols = kernel_mod_m(lam_t, k, m)
-        per_coord.append(sols)
+    for c, m in enumerate(group.moduli):
+        sols = np.array(kernel_mod_m(lam_t, k, m), dtype=np.int64)
         total *= len(sols)
         if total > budget:
             raise BudgetError(
                 f"dual constraint lattice has {total}+ points, over budget {budget}"
             )
-    radix = [1] * len(group.moduli)
-    for j in range(len(group.moduli) - 2, -1, -1):
-        radix[j] = radix[j + 1] * group.moduli[j + 1]
+        shape = [1] * group.rank + [k]
+        shape[c] = len(sols)
+        per_coord.append(sols.reshape(shape))
+    coords = np.stack(np.broadcast_arrays(*per_coord), axis=-1)
+    return group.flat_index(coords).reshape(-1, k)
 
-    out: list[tuple[int, ...]] = []
 
-    def rec(c: int, partial: tuple[int, ...]):
-        if c == len(per_coord):
-            out.append(partial)
-            return
-        for sol in per_coord[c]:
-            rec(c + 1, tuple(p + radix[c] * s for p, s in zip(partial, sol)))
+def dual_gradient(sols: np.ndarray, spec: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Gradient of t(L, f) = sum_r prod_j fhat(r_j) with respect to the
+    value table of a real f, from its spectrum and the dual solutions.
 
-    rec(0, (0,) * k)
-    return out
+    d fhat(r) / d f(a) = conj(chi_r(a)) / N, so the gradient is fftn(G) / N
+    where G(r) sums, over forms j and solutions with r_j = r, the product
+    of the other forms' spectrum values: one FFT for all forms."""
+    N = group.order
+    vals = spec[sols]
+    loo = np.stack([np.prod(np.delete(vals, j, axis=1), axis=1)
+                    for j in range(sols.shape[1])], axis=1).ravel()
+    flat = sols.ravel()
+    G = np.bincount(flat, loo.real, N) + 1j * np.bincount(flat, loo.imag, N)
+    return np.fft.fftn(G.reshape(group.moduli)).real.reshape(-1) / N
 
 
 def density_fourier(
@@ -293,18 +242,10 @@ def density_fourier(
 ) -> complex:
     """Configuration density by character orthogonality: the sum over the
     dual constraint lattice of the product of spectrum values."""
-    Fs = _as_system(F, config.size)
-    if group is None:
-        group = Fs[0].group
-    specs = [spectrum_array(f) for f in Fs]
+    Fs, group = _as_system(F, config.size, group)
+    specs = np.stack([spectrum_array(f) for f in Fs])
     sols = dual_constraint_solutions(config, group, budget=budget)
-    acc = 0.0 + 0.0j
-    for assignment in sols:
-        term = 1.0 + 0.0j
-        for j, r in enumerate(assignment):
-            term *= specs[j][r]
-        acc += term
-    return complex(acc)
+    return complex(np.sum(form_products(specs, sols)))
 
 
 def density_monte_carlo(
@@ -315,28 +256,14 @@ def density_monte_carlo(
     group: Optional[GroupSpec] = None,
 ) -> tuple[complex, float]:
     """Unbiased sampled estimate of the density with its standard error."""
-    Fs = _as_system(F, config.size)
-    if group is None:
-        group = Fs[0].group
-    n = config.arity
-    N = group.order
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
+    check_seed(seed)
+    Fs, group = _as_system(F, config.size, group)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    moduli = np.array(group.moduli, dtype=np.int64)
-    coords = np.array(list(group.elements()), dtype=np.int64)
-    radix = np.ones(len(moduli), dtype=np.int64)
-    for j in range(len(moduli) - 2, -1, -1):
-        radix[j] = radix[j + 1] * moduli[j + 1]
-    lam = np.array(config.matrix(), dtype=np.int64)
-    var_idx = rng.integers(0, N, size=(samples, n))
-    prod = np.ones(samples, dtype=np.complex128)
-    for fi in range(config.size):
-        acc = np.zeros((samples, len(moduli)), dtype=np.int64)
-        for v in range(n):
-            c = lam[fi, v]
-            if c:
-                acc += c * coords[var_idx[:, v]]
-        idx = (acc % moduli) @ radix
-        prod *= Fs[fi].values[idx]
+    var_idx = rng.integers(0, group.order, size=(samples, config.arity))
+    prod = form_products(np.stack([f.values for f in Fs]),
+                         _form_indices(config, group, var_idx))
     est = complex(np.mean(prod))
     se = float(np.std(prod) / math.sqrt(samples))
     return est, se

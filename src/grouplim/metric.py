@@ -12,7 +12,7 @@ reported as a certified bracket between adjacent critical candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetError, PrecisionError, ValidationError
@@ -194,10 +194,6 @@ def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     return True
 
 
-def _sort_key(e: Elem):
-    return e
-
-
 def exists_eps_iso(
     f1: SparseFn,
     f2: SparseFn,
@@ -219,7 +215,7 @@ def exists_eps_iso(
     if weight is None:
         weight = math.ceil(1.0 / eps - 1e-12)
     g1, g2 = f1.group, f2.group
-    s1 = sorted(supp_eps(f1, eps), key=_sort_key)
+    s1 = sorted(supp_eps(f1, eps))
     s2 = supp_eps(f2, eps)
     budget = _Budget(node_budget)
 
@@ -230,7 +226,7 @@ def exists_eps_iso(
             for h, w in f2.entries.items()
             if abs(v - w) <= eps + 1e-15
         ]
-        cands.sort(key=lambda h: (abs(v - f2.entries[h]), _sort_key(h)))
+        cands.sort(key=lambda h: (abs(v - f2.entries[h]), h))
         return cands
 
     def candidates_for_target(h: Elem) -> list[Elem]:
@@ -240,7 +236,7 @@ def exists_eps_iso(
             for g, v in f1.entries.items()
             if abs(v - w) <= eps + 1e-15
         ]
-        cands.sort(key=lambda g: (abs(f1.entries[g] - w), _sort_key(g)))
+        cands.sort(key=lambda g: (abs(f1.entries[g] - w), g))
         return cands
 
     gs: list[Elem] = []
@@ -264,7 +260,7 @@ def exists_eps_iso(
     def assign_sources(i: int) -> Optional[PartialIso]:
         budget.spend()
         if i == len(s1):
-            return cover_targets(sorted(s2 - set(hs), key=_sort_key), 0)
+            return cover_targets(sorted(s2 - set(hs)))
         g = s1[i]
         for h in candidates_for_source(g):
             if h in used_targets:
@@ -280,9 +276,9 @@ def exists_eps_iso(
                 retract()
         return None
 
-    def cover_targets(missing: list[Elem], j: int) -> Optional[PartialIso]:
+    def cover_targets(missing: list[Elem]) -> Optional[PartialIso]:
         budget.spend()
-        missing = sorted(set(missing) - set(hs), key=_sort_key)
+        missing = sorted(set(missing) - set(hs))
         if not missing:
             return PartialIso(tuple(zip(tuple(gs), tuple(hs))), weight)
         h = missing[0]
@@ -292,7 +288,7 @@ def exists_eps_iso(
             if extend(g, h):
                 used_sources.add(g)
                 used_targets.add(h)
-                res = cover_targets(missing[1:], j + 1)
+                res = cover_targets(missing[1:])
                 if res is not None:
                     return res
                 used_sources.discard(g)
@@ -309,8 +305,8 @@ def _try_exact_isomorphism(
     """Look for a value-preserving bijection between the stored supports
     whose relation lattices coincide exactly; such a certificate collapses
     the bracket to [0, 0]."""
-    e1 = sorted(f1.entries, key=_sort_key)
-    e2 = sorted(f2.entries, key=_sort_key)
+    e1 = sorted(f1.entries)
+    e2 = sorted(f2.entries)
     if len(e1) != len(e2):
         return None
     v1 = sorted((f1.entries[g].real, f1.entries[g].imag) for g in e1)
@@ -422,12 +418,7 @@ def dhat(
         results[i] = res
         return res
 
-    lo_idx, hi_idx = -1, len(cands) - 1
-    feas, capped, wit = probe(hi_idx)
-    if feas is not True:
-        # even the top candidate failed or blew the budget; fall back to a
-        # conservative bracket over everything we can verify
-        feas = feas  # keep flags; handled by the scan below
+    probe(len(cands) - 1)
     # binary search: find smallest feasible index, assuming monotonicity
     lo, hi = 0, len(cands) - 1
     while lo < hi:
@@ -442,8 +433,6 @@ def dhat(
             for j in range(len(cands)):
                 probe(j)
             break
-    for j in (lo,):
-        probe(j)
 
     feas_idx = [i for i, (f, _, _) in results.items() if f is True]
     infeas_idx = [i for i, (f, _, _) in results.items() if f is False]

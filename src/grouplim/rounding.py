@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .functions import DenseFn
 from .spectral import u2_fourier
 
@@ -24,6 +24,7 @@ def _uniforms(seed: int, n: int) -> np.ndarray:
 def randomized_round(f: DenseFn, seed: int) -> DenseFn:
     """Independent Bernoulli rounding: each output value is 1 with
     probability f(a), deterministically given the seed."""
+    check_seed(seed)
     vals = f.values
     if np.max(np.abs(vals.imag), initial=0.0) > 1e-12:
         raise ValidationError("randomized_round expects a real-valued function")
@@ -41,6 +42,7 @@ def round_best_of(f: DenseFn, seed: int, tries: int = 8) -> tuple[DenseFn, float
     deviation from f is smallest.  Returns (h, deviation, winning seed)."""
     if tries < 1:
         raise ValidationError("need at least one rounding attempt")
+    check_seed(seed)
     best = None
     for s in range(tries):
         sub_seed = (seed << 16) + s
@@ -55,6 +57,7 @@ def adjust_density(h: DenseFn, delta: float, seed: int) -> DenseFn:
     """If mean(h) is below delta, flip uniformly random zero positions to 1
     until the count of ones is ceil(delta * |A|); otherwise return h
     unchanged.  Values are never lowered."""
+    check_seed(seed)
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
     vals = h.values.real

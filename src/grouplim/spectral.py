@@ -86,15 +86,11 @@ def u2_direct(f: DenseFn, max_order: int = U2_DIRECT_MAX_ORDER) -> float:
         raise BudgetError(
             f"group order {n} exceeds u2_direct guard {max_order}; use u2_fourier"
         )
-    moduli = np.array(G.moduli, dtype=np.int64)
-    coords = np.array(list(G.elements()), dtype=np.int64)
-    radix = np.ones(len(moduli), dtype=np.int64)
-    for j in range(len(moduli) - 2, -1, -1):
-        radix[j] = radix[j + 1] * moduli[j + 1]
+    coords = G.coord_array()
     vals = f.values
     acc = 0.0
     for a in range(n):
-        shifted = ((coords + coords[a]) % moduli) @ radix
+        shifted = G.flat_index(coords + coords[a])
         c_a = np.mean(vals * np.conj(vals[shifted]))
         acc += abs(c_a) ** 2
     total = acc / n

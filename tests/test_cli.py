@@ -173,3 +173,20 @@ def test_exit_code_budget(capsys, tmp_path):
     code = main(["dist", "--lhs", paths[0], "--rhs", paths[1], "--budget", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_bad_seed_and_sample_count_exit_1(capsys, dense_file):
+    mc = ["density", "--config", "ap3", "--fn", dense_file, "--method", "mc"]
+    for argv in (["round", "--fn", dense_file, "--seed", "-1"],
+                 ["minimize", "--config", "ap3", "--p", "5", "--delta", "0.5", "--seed", "-1"],
+                 mc + ["--monte-carlo", "0"],
+                 mc + ["--seed", "-1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+
+def test_non_finite_json_is_rejected(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}')
+    assert main(["u2", "--fn", str(path)]) == 1
+    assert capsys.readouterr().out == ""

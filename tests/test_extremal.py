@@ -45,13 +45,17 @@ def test_projection_handles_huge_magnitudes():
 
 
 def test_gradient_matches_central_differences():
-    G = make_group([11])
-    for name in ("ap3", "parallelogram"):
+    c4 = "graph:0-1,1-2,2-3,3-0"
+    k4 = "graph:0-1,0-2,0-3,1-2,1-3,2-3"
+    cases = [([11], "ap3"), ([11], "parallelogram"), ([2, 6], "ap3"),
+             ([2, 6], "parallelogram"), ([2, 6], c4), ([7], c4), ([5], k4), ([2, 6], k4)]
+    for moduli, name in cases:
+        G = make_group(moduli)
         cfg = builtin_config(name)
         f = random_dense(G, seed=21, box=True)
         grad = density_gradient(cfg, f)
         h = 1e-6
-        for i in range(0, 11, 3):
+        for i in range(0, G.order, 3):
             up, dn = f.values.copy(), f.values.copy()
             up[i] += h
             dn[i] -= h
@@ -72,6 +76,16 @@ def test_minimize_requires_prime_order():
     res = minimize_density(builtin_config("ap3"), 9, 0.3, restarts=2,
                            unsafe_group=True)
     assert res.f_star.group.order == 9
+
+
+def test_minimize_on_product_group_matches_brute_oracle():
+    G = make_group([3, 5])
+    for name in ("ap3", "parallelogram"):
+        cfg = builtin_config(name)
+        res = minimize_density(cfg, 15, 0.4, restarts=2, seed=5, unsafe_group=True, group=G)
+        assert res.f_star.group == G
+        assert np.mean(res.f_star.values.real) == pytest.approx(0.4, abs=1e-8)
+        assert density_brute(cfg, res.f_star).real == pytest.approx(res.value, abs=1e-10)
 
 
 def test_minimize_parallelogram_hits_quasirandom_minimum():

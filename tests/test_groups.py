@@ -52,6 +52,18 @@ def test_enumeration_roundtrip(z12, z2z3):
             assert G.elem_at(i) == g
 
 
+@given(small_moduli, st.data())
+def test_vectorized_indexing_matches_scalar_bijection(moduli, data):
+    G = make_group(moduli)
+    coords = G.coord_array()
+    assert [tuple(c) for c in coords.tolist()] == [G.elem_at(i) for i in range(G.order)]
+    gs = data.draw(st.lists(st.tuples(*[st.integers(-50, 50) for _ in moduli]),
+                            min_size=1, max_size=8))
+    idx = G.flat_index(gs)
+    assert idx.tolist() == [G.index_of(g) for g in gs]
+    assert [tuple(c) for c in coords[idx].tolist()] == [G.reduce(g) for g in gs]
+
+
 def test_enumeration_requires_finite():
     with pytest.raises(ValidationError):
         list(make_group([0, 3]).elements())

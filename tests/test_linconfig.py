@@ -100,6 +100,32 @@ def test_dual_constraint_count_for_ap3():
         assert np.all((lam.T @ r) % 7 == 0)
 
 
+@pytest.mark.parametrize("name,moduli", [
+    ("ap3", [2, 4]),
+    ("parallelogram", [2, 2, 3]),
+    ("graph:0-1,1-2,2-3,3-0", [3, 3]),
+    ("graph:0-1,0-2,0-3,1-2,1-3,2-3", [2, 3]),
+])
+def test_dual_constraint_solutions_match_brute_enumeration(name, moduli):
+    G = make_group(moduli)
+    cfg = builtin_config(name)
+    k, N = cfg.size, G.order
+    lam = np.array(cfg.matrix())
+    coords = G.coord_array()
+
+    def solves(r):
+        # sum_j lambda_{j,m} r_j = 0 in every coordinate, for every variable m
+        sums = np.einsum("jm,ljs->lms", lam, coords[r])
+        return np.all(sums % np.array(moduli) == 0, axis=(1, 2))
+
+    sols = dual_constraint_solutions(cfg, G)
+    assert sols.shape[1] == k
+    assert np.all(solves(sols))
+    assert len({tuple(r) for r in sols.tolist()}) == len(sols)
+    every = np.stack(np.unravel_index(np.arange(N**k), (N,) * k), axis=-1)
+    assert len(sols) == np.count_nonzero(solves(every))
+
+
 def test_parallelogram_density_is_fourth_power_of_u2():
     G = make_group([9])
     for seed in range(4):

@@ -76,3 +76,14 @@ def test_adjust_density_requires_indicator_input():
     G = make_group([10])
     with pytest.raises(ValidationError):
         adjust_density(constant_fn(G, 0.5), delta=0.6, seed=0)
+
+
+def test_rounding_rejects_negative_seeds():
+    G = make_group([8])
+    f = constant_fn(G, 0.5)
+    with pytest.raises(ValidationError):
+        randomized_round(f, seed=-1)
+    with pytest.raises(ValidationError):
+        round_best_of(f, seed=-1)
+    with pytest.raises(ValidationError):
+        adjust_density(constant_fn(G, 0.0), 0.5, seed=-1)
