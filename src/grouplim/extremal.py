@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from sympy import isprime
 
 from .errors import ValidationError, check_seed
 from .functions import DenseFn
@@ -52,6 +51,34 @@ class OptResult:
             "trace": [[i, v] for i, v in self.trace],
             "bound_kind": "upper bound",
         }
+
+
+# Miller-Rabin with these bases decides primality for every n < 3.3e24
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test with the fixed bases PRIME_BASES,
+    exact for n < 3.3e24 (far beyond any group order that fits in memory)."""
+    if n < 2:
+        return False
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> np.ndarray:
@@ -180,7 +207,7 @@ def minimize_density(
     best final value wins (ties broken by restart index)."""
     check_seed(seed)
     if group is None:
-        if not unsafe_group and not isprime(p):
+        if not unsafe_group and not is_prime(p):
             raise ValidationError(
                 f"p={p} is not prime; the extremal family uses prime-order groups "
                 "(pass unsafe_group to override)"

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import Matrix, Rational
 
 from .errors import BudgetError, ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec
-from .intlattice import kernel_mod_m
+from .intlattice import integer_kernel, kernel_mod_m
 from .spectral import spectrum_array
 
 DENSITY_BUDGET = 10**8
@@ -272,14 +271,14 @@ def density_monte_carlo(
 def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
     """Sufficient check that the configuration has complexity at most 1:
     for every form, the remaining forms admit a bipartition with neither
-    class's rational span containing the excluded form.  Exact rational
+    class's rational span containing the excluded form.  Exact integer
     rank computations, exhaustive over all bipartitions."""
     k = config.size
     if k > 16:
         raise BudgetError("cs complexity check limited to at most 16 forms")
     if k < 2:
         raise ValidationError("cs complexity check needs at least 2 forms")
-    rows = [[Rational(c) for c in f.coeffs] for f in config.forms]
+    rows = [list(f.coeffs) for f in config.forms]
     per_form: list[bool] = []
     for i in range(k):
         others = [rows[j] for j in range(k) if j != i]
@@ -296,8 +295,7 @@ def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
 
 
 def _in_span(vec, vecs) -> bool:
-    if not vecs:
-        return all(c == 0 for c in vec)
-    m = Matrix(vecs)
-    m2 = Matrix(vecs + [vec])
-    return m.rank() == m2.rank()
+    """vec is in the rational span of vecs iff appending it leaves the
+    matrix rank, i.e. the rank of the integer kernel lattice, unchanged."""
+    n = len(vec)
+    return len(integer_kernel(vecs, n)) == len(integer_kernel(vecs + [vec], n))

@@ -12,8 +12,8 @@ reported as a certified bracket between adjacent critical candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .errors import BudgetError, PrecisionError, ValidationError
 from .functions import DenseFn, SparseFn
@@ -26,21 +26,39 @@ DEFAULT_NODE_BUDGET = 10**7
 EXACT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class PartialIso:
     """A bijection between finite subsets of two groups, asserted to
-    preserve all signed relations of total coefficient weight <= weight."""
+    preserve all signed relations of total coefficient weight <= weight.
 
-    pairs: tuple[tuple[Elem, Elem], ...]
+    Built from its pairs (g, h) and stored flat, so that a witness holds
+    one tuple of integers rather than three tuples per pair: ``coords``
+    concatenates g_1, h_1, g_2, h_2, ..., and every g_i has length rank_g,
+    every h_i length rank_h."""
+
+    coords: tuple[int, ...]
+    rank_g: int
+    rank_h: int
     weight: int
 
-    def __post_init__(self):
-        if self.weight < 1:
+    def __init__(self, pairs: Sequence[tuple[Elem, Elem]], weight: int):
+        if weight < 1:
             raise ValidationError("weight must be a positive integer")
-        lhs = [g for g, _ in self.pairs]
-        rhs = [h for _, h in self.pairs]
+        lhs, rhs = [tuple(g) for g, _ in pairs], [tuple(h) for _, h in pairs]
         if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
             raise ValidationError("partial isomorphism must be a bijection")
+        r, s = (len(lhs[0]), len(rhs[0])) if lhs else (0, 0)
+        if any(len(g) != r or len(h) != s for g, h in zip(lhs, rhs)):
+            raise ValidationError("domain and image elements must each have one rank")
+        object.__setattr__(self, "coords", tuple(c for g, h in zip(lhs, rhs) for c in g + h))
+        object.__setattr__(self, "rank_g", r)
+        object.__setattr__(self, "rank_h", s)
+        object.__setattr__(self, "weight", weight)
+
+    @property
+    def pairs(self) -> tuple[tuple[Elem, Elem], ...]:
+        r, step, c = self.rank_g, self.rank_g + self.rank_h or 1, self.coords
+        return tuple((c[i:i + r], c[i + r:i + step]) for i in range(0, len(c), step))
 
     def domain(self) -> list[Elem]:
         return [g for g, _ in self.pairs]
@@ -49,13 +67,10 @@ class PartialIso:
         return [h for _, h in self.pairs]
 
     def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "pairs": [[list(g), list(h)] for g, h in self.pairs],
-        }
+        return {"weight": self.weight, "pairs": [[list(g), list(h)] for g, h in self.pairs]}
 
 
-@dataclass
+@dataclass(slots=True)
 class DistBracket:
     """Certified interval [lo, hi] around a metric value.
 
@@ -77,14 +92,7 @@ class DistBracket:
             raise ValidationError(f"invalid bracket [{self.lo}, {self.hi}]")
 
     def shift(self, delta: float) -> "DistBracket":
-        return DistBracket(
-            lo=self.lo + delta,
-            hi=self.hi + delta,
-            witness=self.witness,
-            exact=self.exact,
-            weight_capped=self.weight_capped,
-            budget_exceeded=self.budget_exceeded,
-        )
+        return replace(self, lo=self.lo + delta, hi=self.hi + delta)
 
     def to_json(self) -> dict:
         return {
@@ -109,7 +117,7 @@ def supp_eps(f: SparseFn, eps: float) -> set[Elem]:
     supp = {g for g, v in f.entries.items() if abs(v) > eps}
     bound = f.l2_norm() ** 2 / eps**2
     if len(supp) > bound + 1e-9:
-        raise AssertionError(
+        raise PrecisionError(
             f"support bound violated: |supp|={len(supp)} > l2^2/eps^2={bound}"
         )
     return supp
@@ -133,65 +141,51 @@ def _relations_consistent(
     g1: GroupSpec,
     g2: GroupSpec,
     weight: int,
-    new_index: int,
     budget: _Budget,
 ) -> bool:
-    """Check every signed relation c with sum|c| <= weight and c[new_index]
-    >= 1 (symmetry: c and -c are equivalent) holds on the gs side iff it
-    holds on the hs side.  Earlier indices are assumed already consistent,
-    so this incremental check maintains the full weight-n condition."""
-    k = len(gs)
-    rank1, rank2 = len(g1.moduli), len(g2.moduli)
-    mod1, mod2 = g1.moduli, g2.moduli
-    others = [i for i in range(k) if i != new_index]
+    """True iff every signed relation c with sum|c| <= weight holds on the
+    gs side exactly when it holds on the hs side.
 
-    def rec(pos: int, left: int, sum1: list[int], sum2: list[int]) -> bool:
-        budget.spend()
-        if pos == len(others):
-            z1 = all(
-                (s % m if m >= 1 else s) == 0 for s, m in zip(sum1, mod1)
-            )
-            z2 = all(
-                (s % m if m >= 1 else s) == 0 for s, m in zip(sum2, mod2)
-            )
-            return z1 == z2
-        i = others[pos]
-        gi, hi = gs[i], hs[i]
-        # c_i = 0 branch
-        if not rec(pos + 1, left, sum1, sum2):
-            return False
-        for mag in range(1, left + 1):
-            for sign in (1, -1):
-                c = sign * mag
-                s1 = [sum1[j] + c * gi[j] for j in range(rank1)]
-                s2 = [sum2[j] + c * hi[j] for j in range(rank2)]
-                if not rec(pos + 1, left - mag, s1, s2):
+    A word of length <= weight in the generators +-(g_i, h_i) of G1 x G2 is
+    such a c, so the map is consistent iff the radius-weight ball around 0
+    holds no (a, 0) with a != 0 and no (0, b) with b != 0.  Breadth-first
+    search over the ball, one budget node per step tried: O(|ball| * k)."""
+    rank1 = len(g1.moduli)
+    mods = g1.moduli + g2.moduli
+    steps = []
+    for g, h in zip(gs, hs):
+        s = tuple(g) + tuple(h)
+        steps += [s, tuple(-x for x in s)]
+    zero = (0,) * len(mods)
+    seen = {zero}
+    frontier = [zero]
+    for _ in range(weight):
+        nxt = []
+        for x in frontier:
+            for s in steps:
+                budget.spend()
+                y = tuple(
+                    (a + b) % m if m >= 1 else a + b for a, b, m in zip(x, s, mods)
+                )
+                if y in seen:
+                    continue
+                if any(y[:rank1]) != any(y[rank1:]):
                     return False
-        return True
-
-    gn, hn = gs[new_index], hs[new_index]
-    for cn in range(1, weight + 1):
-        s1 = [cn * gn[j] for j in range(rank1)]
-        s2 = [cn * hn[j] for j in range(rank2)]
-        if not rec(0, weight - cn, s1, s2):
-            return False
+                seen.add(y)
+                nxt.append(y)
+        if not nxt:
+            break
+        frontier = nxt
     return True
 
 
 def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
-    """Full weight-n relation check for an explicit map (used directly for
-    small maps; the search uses the incremental form)."""
+    """Full weight-n relation check for an explicit map."""
     gs = [g1.reduce(g) for g in phi.domain()]
     hs = [g2.reduce(h) for h in phi.image()]
-    budget = _Budget(DEFAULT_NODE_BUDGET)
-    for idx in range(len(gs)):
-        # checking only relations whose latest nonzero index is idx covers
-        # every vector exactly once
-        if not _relations_consistent(
-            gs[: idx + 1], hs[: idx + 1], g1, g2, phi.weight, idx, budget
-        ):
-            return False
-    return True
+    return _relations_consistent(
+        gs, hs, g1, g2, phi.weight, _Budget(DEFAULT_NODE_BUDGET)
+    )
 
 
 def exists_eps_iso(
@@ -247,7 +241,7 @@ def exists_eps_iso(
     def extend(g: Elem, h: Elem) -> bool:
         gs.append(g1.reduce(g))
         hs.append(g2.reduce(h))
-        ok = _relations_consistent(gs, hs, g1, g2, weight, len(gs) - 1, budget)
+        ok = _relations_consistent(gs, hs, g1, g2, weight, budget)
         if not ok:
             gs.pop()
             hs.pop()
@@ -335,8 +329,8 @@ def _try_exact_isomorphism(
                 continue
             gs.append(g)
             hs.append(h)
-            # weight-capped incremental pruning before the exact check
-            if _relations_consistent(gs, hs, g1, g2, DEFAULT_WEIGHT_CAP, len(gs) - 1, budget):
+            # weight-capped pruning before the exact check
+            if _relations_consistent(gs, hs, g1, g2, DEFAULT_WEIGHT_CAP, budget):
                 used.add(h)
                 res = rec(i + 1)
                 if res is not None:
@@ -353,6 +347,9 @@ def _try_exact_isomorphism(
 
 
 def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[float]:
+    """Sorted eps values at which feasibility can flip.  Values at or below
+    either truncation threshold (float noise between matching spectra) are
+    left out: supp_eps cannot decide membership there."""
     vals1 = [abs(v) for v in f1.entries.values()]
     vals2 = [abs(v) for v in f2.entries.values()]
     eps_max = max(vals1 + vals2, default=0.0)
@@ -364,7 +361,8 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     for v in f1.entries.values():
         for w in f2.entries.values():
             cands.add(abs(v - w))
-    out = sorted(c for c in cands if 0 < c <= eps_max + 1e-15)
+    floor = max(f1.truncation, f2.truncation)
+    out = sorted(c for c in cands if floor < c <= eps_max + 1e-15)
     # merge near-duplicates
     merged: list[float] = []
     for c in out:

@@ -27,6 +27,36 @@ def random_sparse(group, seed, size, lo=0.1, hi=1.0):
     return SparseFn(group, entries)
 
 
+def relations_consistent_enum(gs, hs, g1, g2, weight):
+    """Oracle for the relation check: enumerate every signed coefficient
+    vector c with sum|c| <= weight and test that sum c_i g_i = 0 holds
+    exactly when sum c_i h_i = 0 does.  Each vector is visited once, as c
+    or -c, under the prefix whose last index carries its last nonzero,
+    positive coefficient."""
+
+    def is_zero(sums, group):
+        return all((s % m if m >= 1 else s) == 0 for s, m in zip(sums, group.moduli))
+
+    def add(sums, c, g):
+        return [s + c * x for s, x in zip(sums, g)]
+
+    def rec(idx, pos, left, sum1, sum2):
+        if pos == idx:
+            return is_zero(sum1, g1) == is_zero(sum2, g2)
+        for c in range(-left, left + 1):
+            if not rec(idx, pos + 1, left - abs(c),
+                       add(sum1, c, gs[pos]), add(sum2, c, hs[pos])):
+                return False
+        return True
+
+    return all(
+        rec(idx, 0, weight - cn, add([0] * g1.rank, cn, gs[idx]),
+            add([0] * g2.rank, cn, hs[idx]))
+        for idx in range(len(gs))
+        for cn in range(1, weight + 1)
+    )
+
+
 @pytest.fixture
 def z8():
     return make_group([8])

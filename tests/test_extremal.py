@@ -6,6 +6,7 @@ from grouplim import DenseFn, make_group
 from grouplim.errors import ValidationError
 from grouplim.extremal import (
     density_gradient,
+    is_prime,
     minimize_density,
     project_box_mean,
     rho_curve,
@@ -76,6 +77,32 @@ def test_minimize_requires_prime_order():
     res = minimize_density(builtin_config("ap3"), 9, 0.3, restarts=2,
                            unsafe_group=True)
     assert res.f_star.group.order == 9
+
+
+def test_is_prime_matches_sieve():
+    n = 10**4
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    assert [is_prime(k) for k in range(-3, n + 1)] == [False] * 3 + sieve.tolist()
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_is_prime_rejects_carmichael_and_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 2**64 - 59, 2**89 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+    assert not is_prime(n * 3)
 
 
 def test_minimize_on_product_group_matches_brute_oracle():

@@ -1,6 +1,7 @@
 """Distance brackets, partial isomorphisms, and epsilon-supports."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, SparseFn, constant_fn, make_group
 from grouplim.errors import BudgetError, PrecisionError, ValidationError
@@ -13,7 +14,7 @@ from grouplim.metric import (
     exists_eps_iso,
     supp_eps,
 )
-from conftest import random_dense, random_sparse
+from conftest import random_dense, random_sparse, relations_consistent_enum
 
 
 def test_supp_eps_strict_threshold():
@@ -37,6 +38,22 @@ def test_partial_iso_rejects_non_bijection():
         PartialIso((((0,), (1,)), ((1,), (1,))), 2)
 
 
+def test_partial_iso_round_trips_its_pairs():
+    pairs = (((1,), (1, 0)), ((3,), (0, 1)), ((2,), (1, 1)))
+    phi = PartialIso(pairs, 3)
+    assert phi.pairs == pairs
+    assert phi.domain() == [(1,), (3,), (2,)] and phi.image() == [(1, 0), (0, 1), (1, 1)]
+    assert phi == PartialIso(list(pairs), 3) and hash(phi) == hash(PartialIso(pairs, 3))
+    assert phi != PartialIso(pairs[:2], 3) and phi != PartialIso(pairs, 2)
+    assert phi.to_json()["pairs"] == [[[1], [1, 0]], [[3], [0, 1]], [[2], [1, 1]]]
+    assert PartialIso((), 1).pairs == ()
+
+
+def test_partial_iso_rejects_mixed_ranks():
+    with pytest.raises(ValidationError):
+        PartialIso((((0,), (1,)), ((1, 0), (0,))), 2)
+
+
 def test_check_partial_iso_detects_order_mismatch():
     # the generator of Z_4 has order 4; any generator of Z_2 x Z_2 has
     # order 2, so 2g = 0 holds on one side only once weight reaches 2
@@ -50,6 +67,41 @@ def test_check_partial_iso_accepts_group_automorphism():
     z5 = make_group([5])
     pairs = tuple(((x,), (2 * x % 5,)) for x in range(5))
     assert check_partial_iso(PartialIso(pairs, 12), z5, z5)
+
+
+MAP_GROUPS = [[6], [8], [9], [2, 4], [0], [0, 3]]
+
+
+def _elems(moduli):
+    return st.tuples(*[st.integers(0, m - 1) if m else st.integers(-6, 6)
+                       for m in moduli])
+
+
+@st.composite
+def _injective_maps(draw):
+    """Random injective maps, a third of them perturbed identities so that
+    maps consistent up to some weight show up too."""
+    g1 = make_group(draw(st.sampled_from(MAP_GROUPS)))
+    k = draw(st.integers(1, 4))
+    gs = draw(st.lists(_elems(g1.moduli), min_size=k, max_size=k, unique=True))
+    if draw(st.integers(0, 2)) == 0:
+        g2, hs = g1, list(gs)
+        h = draw(_elems(g1.moduli))
+        if h not in hs:
+            hs[-1] = h
+    else:
+        g2 = make_group(draw(st.sampled_from(MAP_GROUPS)))
+        hs = draw(st.lists(_elems(g2.moduli), min_size=k, max_size=k, unique=True))
+    return g1, g2, gs, hs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_injective_maps(), st.integers(1, 8))
+def test_check_partial_iso_matches_enumeration_oracle(m, weight):
+    g1, g2, gs, hs = m
+    phi = PartialIso(tuple(zip(gs, hs)), weight)
+    assert check_partial_iso(phi, g1, g2) == relations_consistent_enum(
+        gs, hs, g1, g2, weight)
 
 
 def test_exists_eps_iso_returns_witness_for_identical_functions():
@@ -73,6 +125,44 @@ def test_dhat_self_distance_is_exact_zero():
     f = random_sparse(G, seed=2, size=5)
     b = dhat(f, f)
     assert (b.lo, b.hi, b.exact) == (0.0, 0.0, True)
+
+
+def test_self_distance_is_exact_within_small_budget():
+    f = random_dense(make_group([8]), seed=11)
+    b = d_metric(f, f, node_budget=10**5)
+    assert (b.lo, b.hi, b.exact, b.budget_exceeded) == (0.0, 0.0, True, False)
+
+
+def _crt_pullback(f, a, b):
+    """f composed with the CRT isomorphism Z_a x Z_b -> Z_ab."""
+    e1, e2 = b * pow(b, -1, a), a * pow(a, -1, b)
+    idx = [(x * e1 + y * e2) % (a * b) for x in range(a) for y in range(b)]
+    return DenseFn(make_group([a, b]), f.values[idx])
+
+
+def test_crt_pullback_is_exact_zero_within_small_budget():
+    f = random_dense(make_group([6]), seed=12)
+    b = d_metric(f, _crt_pullback(f, 2, 3), node_budget=10**5)
+    assert (b.lo, b.hi, b.exact, b.budget_exceeded) == (0.0, 0.0, True, False)
+
+
+def test_exhausted_budget_is_reported_not_a_precision_error():
+    # the two spectra agree up to float noise, far below the truncation
+    # threshold; such differences are not candidate eps values
+    f = random_dense(make_group([6]), seed=12)
+    try:
+        b = d_metric(f, _crt_pullback(f, 2, 3), node_budget=10)
+    except BudgetError:
+        return
+    assert b.budget_exceeded
+
+
+def test_supp_eps_support_bound_violation_is_a_precision_error():
+    # stored l2 mass exceeds declared_l2 by less than the accepted slack
+    f = SparseFn(make_group([200]), {(i,): 0.1 for i in range(100)},
+                 declared_l2=1 - 5e-10)
+    with pytest.raises(PrecisionError, match="support bound violated"):
+        supp_eps(f, 0.1 * (1 - 1e-12))
 
 
 def test_dhat_is_symmetric():
