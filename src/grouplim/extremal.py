@@ -12,6 +12,7 @@ no rate is available, so results are labeled per-p.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -90,43 +91,51 @@ def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> n
     return dual_gradient(sols, spectrum_array(DenseFn(f.group, f.values.real)), f.group)
 
 
-def project_box_mean(v: np.ndarray, delta: float, tol: float = 1e-12) -> np.ndarray:
-    """Euclidean projection onto {u in [0,1]^N : mean(u) = delta} by
-    monotone bisection on the shift parameter of clip(v - tau)."""
+def project_box_mean(v: np.ndarray, delta: float) -> np.ndarray:
+    """Euclidean projection onto {u in [0,1]^N : mean(u) = delta}.
+
+    The projection is clip(v - tau, 0, 1) for the shift tau at which
+    m(tau) = sum clip(v_i - tau, 0, 1) equals N*delta.  m is nonincreasing
+    and piecewise linear with knots at v_i and v_i - 1.  After one sort,
+    prefix sums give m at any point in O(log N); a bisection over each
+    family of knots then tells which sorted coordinates clip to 0, which to
+    1 and which are free, and tau solves the linear equation on the free
+    ones.  O(N log N), exact up to rounding."""
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
     v = np.asarray(v, dtype=np.float64)
-    lo = float(v.min()) - 1.0
-    hi = float(v.max())
+    n = v.size
+    if n == 0:
+        raise ValidationError("cannot project an empty vector")
+    s = np.sort(v)
+    # sorting puts NaN last and infinities at the ends
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+        raise ValidationError("cannot project a vector with non-finite entries")
+    csum = np.zeros(n + 1)
+    np.cumsum(s, out=csum[1:])
+    target = n * delta
 
-    def mean_at(tau: float) -> float:
-        return float(np.mean(np.clip(v - tau, 0.0, 1.0)))
+    def m(t: float) -> float:
+        # s[:a] clip to 0, s[b:] to 1, the rest contribute s_i - t
+        a = int(s.searchsorted(t, side="right"))
+        b = int(s.searchsorted(t + 1.0, side="left"))
+        return (n - b) + float(csum[b] - csum[a]) - t * (b - a)
 
-    # mean_at is nonincreasing in tau; bracket the root
-    while mean_at(lo) < delta:
-        lo -= 1.0
-    while mean_at(hi) > delta:
-        hi += 1.0
-    # relative tolerance keeps the loop finite when v has huge magnitude,
-    # where float spacing can exceed an absolute tol
-    width = tol * max(1.0, abs(lo), abs(hi))
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mean_at(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    u = np.clip(v - tau, 0.0, 1.0)
-    # exact mean repair within the free (strictly interior) coordinates
-    free = (u > 0.0) & (u < 1.0)
-    gap = delta - float(np.mean(u))
-    if np.any(free):
-        u[free] += gap * u.size / int(free.sum())
-        u = np.clip(u, 0.0, 1.0)
-    return u
+    # tau >= s_i holds just for i < lo, and tau >= s_i - 1 just for i < hi;
+    # m(s_i - 1) >= m(s_i) + 1, so the second search can start at lo
+    lo = bisect.bisect_left(range(n), True, key=lambda i: m(float(s[i])) < target)
+    hi = bisect.bisect_left(range(n), True, lo, key=lambda i: m(float(s[i]) - 1.0) < target)
+    # the sorted coordinates below lo clip to 0, those from hi on to 1
+    s_lo, s_hi = (float(s[i]) if i < n else math.inf for i in (lo, hi))
+    one = v >= s_hi
+    if lo == hi:
+        return one.astype(np.float64)
+    free = (v >= s_lo) & ~one
+    tau = (float(csum[hi] - csum[lo]) + (n - hi) - target) / (hi - lo)
+    u = np.where(free, v - tau, one)
+    # exact mean repair within the free coordinates
+    u += free * ((target - float(u.sum())) / (hi - lo))
+    return np.minimum(np.maximum(u, 0.0), 1.0)
 
 
 def _pgd(
@@ -137,19 +146,15 @@ def _pgd(
     max_iter: int,
     grad_tol: float,
 ) -> tuple[np.ndarray, float, float, list[tuple[int, float]]]:
-    def spectrum(u):
-        return spectrum_array(DenseFn(group, u))
-
     def value(u):
-        return float(np.sum(form_products(spectrum(u)[None], sols)).real)
-
-    def gradient(u):
-        return dual_gradient(sols, spectrum(u), group)
+        # the spectrum is returned too, for the gradient at an accepted step
+        spec = spectrum_array(DenseFn(group, u))
+        return float(np.sum(form_products(spec[None], sols)).real), spec
 
     f = project_box_mean(start, delta)
-    val = value(f)
+    val, spec = value(f)
     trace = [(0, val)]
-    grad = gradient(f)
+    grad = dual_gradient(sols, spec, group)
     # spectral (Barzilai-Borwein) initial step with a nonmonotone Armijo
     # safeguard; a fixed unit step crawls through the flat valleys of this
     # multilinear objective
@@ -164,14 +169,14 @@ def _pgd(
         accepted = False
         while step > 1e-16:
             cand = project_box_mean(f - step * grad, delta)
-            cval = value(cand)
+            cval, cspec = value(cand)
             if cval <= reference + ARMIJO_C * float(np.dot(grad, cand - f)):
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
         if not accepted:
             break
-        new_grad = gradient(cand)
+        new_grad = dual_gradient(sols, cspec, group)
         s = cand - f
         sy = float(np.dot(s, new_grad - grad))
         if sy > 0.0:
@@ -218,22 +223,25 @@ def minimize_density(
     sols = dual_constraint_solutions(config, group)
     n = group.order
 
-    starts = [np.full(n, delta)]
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 20) + r))
-        starts.append(rng.random(n))
-
+    restarts = max(restarts, 0)
     best = None
-    for r, start in enumerate(starts):
+    for r in range(-1, restarts):
+        # run -1 starts from the constant function; restart r draws its start
+        # from the stream keyed by (seed, r) only when it begins, so one start
+        # vector is alive at a time
+        if r < 0:
+            start = np.full(n, delta)
+        else:
+            start = np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n)
         f, val, gnorm, trace = _pgd(sols, group, start, delta, max_iter, grad_tol)
-        if best is None or val < best[1] - 0.0:
+        if best is None or val < best[1]:
             best = (f, val, gnorm, trace)
     f, val, gnorm, trace = best
     return OptResult(
         f_star=DenseFn(group, f.astype(np.complex128)),
         value=val,
         grad_norm=gnorm,
-        restarts_used=len(starts),
+        restarts_used=restarts + 1,
         trace=trace,
     )
 

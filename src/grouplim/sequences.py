@@ -15,7 +15,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .functions import DenseFn
 from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_brute
-from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, DistBracket, d_metric, dhat, dprime
+from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, DistBracket, d_metric, dhat
+from .spectral import dft
 
 
 def pairwise_table(
@@ -25,20 +26,26 @@ def pairwise_table(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[list[Optional[DistBracket]]]:
     """Symmetric table of distance brackets; the diagonal is exact zero.
-    Cells whose metric call exceeds its budget hold None."""
+    Cells whose metric call exceeds its budget hold None.  Each cell is the
+    d_metric (or dprime) bracket of its pair, with every function's
+    spectrum computed once for the whole table."""
     if metric not in ("d", "dprime"):
         raise ValidationError("metric must be 'd' or 'dprime'")
-    fn = d_metric if metric == "d" else dprime
     n = len(fs)
+    specs = [dft(f) for f in fs]
+    norms = [f.l2_norm() for f in fs]
     table: list[list[Optional[DistBracket]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = DistBracket(0.0, 0.0, exact=True)
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                b = fn(fs[i], fs[j], weight_cap=weight_cap, node_budget=node_budget)
+                b = dhat(specs[i], specs[j], weight_cap=weight_cap, node_budget=node_budget)
             except BudgetError:
                 b = None
+            if b is not None and metric == "dprime":
+                # the exact L2 norm gap, as dprime adds it
+                b = b.shift(abs(norms[i] - norms[j]))
             table[i][j] = b
             table[j][i] = b
     return table

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from grouplim import DenseFn, SparseFn, make_group
+from grouplim.errors import ValidationError
 
 
 def random_dense(group, seed, real=False, box=False):
@@ -55,6 +56,46 @@ def relations_consistent_enum(gs, hs, g1, g2, weight):
         for idx in range(len(gs))
         for cn in range(1, weight + 1)
     )
+
+
+def project_box_mean_bisect(v, delta, tol=1e-12):
+    """Oracle for extremal.project_box_mean: Euclidean projection onto
+    {u in [0,1]^N : mean(u) = delta} by monotone bisection on the shift
+    parameter of clip(v - tau)."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValidationError("delta must lie in [0, 1]")
+    v = np.asarray(v, dtype=np.float64)
+    lo = float(v.min()) - 1.0
+    hi = float(v.max())
+
+    def mean_at(tau: float) -> float:
+        return float(np.mean(np.clip(v - tau, 0.0, 1.0)))
+
+    # mean_at is nonincreasing in tau; bracket the root
+    while mean_at(lo) < delta:
+        lo -= 1.0
+    while mean_at(hi) > delta:
+        hi += 1.0
+    # relative tolerance keeps the loop finite when v has huge magnitude,
+    # where float spacing can exceed an absolute tol
+    width = tol * max(1.0, abs(lo), abs(hi))
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mean_at(mid) > delta:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    u = np.clip(v - tau, 0.0, 1.0)
+    # exact mean repair within the free (strictly interior) coordinates
+    free = (u > 0.0) & (u < 1.0)
+    gap = delta - float(np.mean(u))
+    if np.any(free):
+        u[free] += gap * u.size / int(free.sum())
+        u = np.clip(u, 0.0, 1.0)
+    return u
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Constrained density minimization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, make_group
 from grouplim.errors import ValidationError
@@ -12,7 +13,7 @@ from grouplim.extremal import (
     rho_curve,
 )
 from grouplim.linconfig import builtin_config, density_brute
-from conftest import random_dense
+from conftest import project_box_mean_bisect, random_dense
 
 
 def test_projection_lands_in_feasible_set():
@@ -32,9 +33,14 @@ def test_projection_is_idempotent_and_shift_structured():
     assert np.allclose(project_box_mean(u, 0.3), u, atol=1e-8)
     # interior coordinates of the projection differ from v by a common shift
     interior = (u > 1e-9) & (u < 1 - 1e-9)
-    if interior.sum() >= 2:
-        shifts = v[interior] - u[interior]
-        assert np.ptp(shifts) <= 1e-8
+    assert interior.sum() >= 2
+    shifts = v[interior] - u[interior]
+    assert np.ptp(shifts) <= 1e-8
+    # KKT: coordinates clipped to 0 lie at or below the shift, those
+    # clipped to 1 at or above the shift plus one
+    tau = float(np.mean(shifts))
+    assert np.all(v[u <= 1e-9] <= tau + 1e-8)
+    assert np.all(v[u >= 1 - 1e-9] >= tau + 1 - 1e-8)
 
 
 def test_projection_handles_huge_magnitudes():
@@ -43,6 +49,27 @@ def test_projection_handles_huge_magnitudes():
     v = np.array([1e8, -1e8, 3e7, 0.5])
     u = project_box_mean(v, 0.5)
     assert np.mean(u) == pytest.approx(0.5, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=600),
+    st.floats(-3.0, 8.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_projection_matches_bisection_oracle(xs, log_scale, delta):
+    # rounding to 0.1 makes ties among the inputs and among the knots
+    v = np.round(np.array(xs) * 10.0**log_scale, 1)
+    u = project_box_mean(v, delta)
+    assert np.max(np.abs(u - project_box_mean_bisect(v, delta))) <= 1e-9
+    assert np.all(u >= 0.0) and np.all(u <= 1.0)
+    assert abs(float(np.mean(u)) - delta) <= 1e-9
+
+
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0], []])
+def test_projection_rejects_empty_or_non_finite_input(v):
+    with pytest.raises(ValidationError):
+        project_box_mean(np.array(v), 0.5)
 
 
 def test_gradient_matches_central_differences():
@@ -127,6 +154,12 @@ def test_minimize_is_deterministic_given_seed():
     b = minimize_density(builtin_config("ap3"), 13, 0.3, restarts=4, seed=9)
     assert a.value == b.value
     assert np.array_equal(a.f_star.values, b.f_star.values)
+
+
+def test_minimize_without_restarts_runs_the_constant_start():
+    for restarts in (0, -2):
+        res = minimize_density(builtin_config("ap3"), 13, 0.25, restarts=restarts)
+        assert res.restarts_used == 1
 
 
 def test_minimize_result_is_feasible_and_consistent():

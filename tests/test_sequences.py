@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from grouplim import DenseFn, constant_fn, make_group
+from grouplim import DenseFn, constant_fn, make_group, sequences
 from grouplim.errors import ValidationError
 from grouplim.linconfig import builtin_config
+from grouplim.metric import d_metric, dprime
 from grouplim.sequences import (
     cauchy_detect,
     continuity_probe,
@@ -13,6 +14,7 @@ from grouplim.sequences import (
     pairwise_table,
     value_histogram,
 )
+from grouplim.spectral import dft
 from conftest import random_dense
 
 
@@ -37,6 +39,23 @@ def test_pairwise_table_shape_and_diagonal():
         for j in range(3):
             assert table[i][j] is table[j][i] or (
                 table[i][j].lo == table[j][i].lo and table[i][j].hi == table[j][i].hi)
+
+
+@pytest.mark.parametrize("metric, oracle", [("d", d_metric), ("dprime", dprime)])
+def test_pairwise_table_cells_match_per_pair_metric(monkeypatch, metric, oracle):
+    groups = [make_group(m) for m in ([4], [2, 2], [6], [2, 3], [5])]
+    fs = [random_dense(G, seed=30 + i) for i, G in enumerate(groups)]
+    # a CRT pullback of fs[2] onto Z_2 x Z_3: an exact zero cell
+    fs.append(DenseFn(groups[3], fs[2].values[[(3 * a + 4 * b) % 6 for a in range(2)
+                                               for b in range(3)]]))
+    dft_calls = []
+    monkeypatch.setattr(sequences, "dft", lambda f: dft_calls.append(f) or dft(f))
+    table = pairwise_table(fs, metric=metric, node_budget=10**4)
+    assert len(dft_calls) == len(fs)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            assert table[i][j] == oracle(fs[i], fs[j], node_budget=10**4)
+    assert table[2][5].hi == 0.0
 
 
 def test_pairwise_table_rejects_unknown_metric():
