@@ -105,8 +105,8 @@ def project_box_mean(v: np.ndarray, delta: float) -> np.ndarray:
         raise ValidationError("delta must lie in [0, 1]")
     v = np.asarray(v, dtype=np.float64)
     n = v.size
-    if n == 0:
-        raise ValidationError("cannot project an empty vector")
+    if v.ndim != 1 or n == 0:
+        raise ValidationError("can only project a non-empty one-dimensional vector")
     s = np.sort(v)
     # sorting puts NaN last and infinities at the ends
     if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
@@ -226,13 +226,8 @@ def minimize_density(
     restarts = max(restarts, 0)
     best = None
     for r in range(-1, restarts):
-        # run -1 starts from the constant function; restart r draws its start
-        # from the stream keyed by (seed, r) only when it begins, so one start
-        # vector is alive at a time
-        if r < 0:
-            start = np.full(n, delta)
-        else:
-            start = np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n)
+        start = (np.full(n, delta) if r < 0 else
+                 np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n))
         f, val, gnorm, trace = _pgd(sols, group, start, delta, max_iter, grad_tol)
         if best is None or val < best[1]:
             best = (f, val, gnorm, trace)

@@ -494,5 +494,19 @@ def dprime(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
     """Tight-convergence metric: d plus the exact L2 norm gap."""
-    gap = abs(f1.l2_norm() - f2.l2_norm())
-    return d_metric(f1, f2, weight_cap=weight_cap, node_budget=node_budget).shift(gap)
+    return dprime_from_spectra(dft(f1), dft(f2), f1.l2_norm(), f2.l2_norm(),
+                               weight_cap=weight_cap, node_budget=node_budget)
+
+
+def dprime_from_spectra(
+    s1: SparseFn,
+    s2: SparseFn,
+    norm1: float,
+    norm2: float,
+    weight_cap: int = DEFAULT_WEIGHT_CAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> DistBracket:
+    """dprime of two functions given their spectra and L2 norms, for callers
+    that reuse one spectrum across many pairs."""
+    gap = abs(norm1 - norm2)
+    return dhat(s1, s2, weight_cap=weight_cap, node_budget=node_budget).shift(gap)

@@ -15,7 +15,14 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .functions import DenseFn
 from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_brute
-from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, DistBracket, d_metric, dhat
+from .metric import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_WEIGHT_CAP,
+    DistBracket,
+    d_metric,
+    dhat,
+    dprime_from_spectra,
+)
 from .spectral import dft
 
 
@@ -34,18 +41,19 @@ def pairwise_table(
     n = len(fs)
     specs = [dft(f) for f in fs]
     norms = [f.l2_norm() for f in fs]
+    budget = dict(weight_cap=weight_cap, node_budget=node_budget)
     table: list[list[Optional[DistBracket]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = DistBracket(0.0, 0.0, exact=True)
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                b = dhat(specs[i], specs[j], weight_cap=weight_cap, node_budget=node_budget)
+                if metric == "d":
+                    b = dhat(specs[i], specs[j], **budget)
+                else:
+                    b = dprime_from_spectra(specs[i], specs[j], norms[i], norms[j], **budget)
             except BudgetError:
                 b = None
-            if b is not None and metric == "dprime":
-                # the exact L2 norm gap, as dprime adds it
-                b = b.shift(abs(norms[i] - norms[j]))
             table[i][j] = b
             table[j][i] = b
     return table

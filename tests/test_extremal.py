@@ -66,8 +66,9 @@ def test_projection_matches_bisection_oracle(xs, log_scale, delta):
     assert abs(float(np.mean(u)) - delta) <= 1e-9
 
 
-@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0], []])
-def test_projection_rejects_empty_or_non_finite_input(v):
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0], [],
+                               [[0.2, 0.9], [0.4, 0.1]], 0.5])
+def test_projection_rejects_empty_non_finite_or_non_vector_input(v):
     with pytest.raises(ValidationError):
         project_box_mean(np.array(v), 0.5)
 
