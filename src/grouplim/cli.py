@@ -11,6 +11,7 @@ import csv
 import glob as globmod
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -250,11 +251,31 @@ def cmd_minimize(config_spec, p, delta, restarts, seed, max_iter, unsafe_group):
                      "init": "spectral"})
 
 
+# a --deltas grid with more steps than this is refused before it is built
+MAX_GRID_STEPS = 10_000
+
+
+def _delta_grid(spec: str) -> list[float]:
+    """The grid start:stop:step, inclusive: the points start + i*step
+    below stop + step/2, with a last point past stop moved onto stop."""
+    try:
+        start, stop, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise ValidationError("--deltas must look like 0.1:0.9:0.1")
+    if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):
+        raise ValidationError("--deltas needs 0 <= start <= stop <= 1 and a finite step > 0")
+    if not (stop - start) / step <= MAX_GRID_STEPS:
+        raise ValidationError(f"--deltas grid has more than {MAX_GRID_STEPS} steps")
+    # at least start itself, also where stop + step/2 rounds to stop
+    steps = np.arange(max(1, math.ceil((stop + step / 2 - start) / step)))
+    return np.minimum(start + step * steps, stop).tolist()
+
+
 @cli.command("rho-curve")
 @click.option("--config", "config_spec", required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--deltas", default="0.1:0.9:0.1", show_default=True,
-              help="grid as start:stop:step (inclusive)")
+              help="grid as start:stop:step in [0, 1] (inclusive)")
 @click.option("--restarts", type=int, default=DEFAULT_RESTARTS, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
@@ -263,12 +284,7 @@ def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     """Minimal-density curve over a delta grid, as CSV."""
     started = time.monotonic()
     config = _load_config(config_spec)
-    try:
-        start, stop, step = (float(x) for x in deltas.split(":"))
-    except ValueError:
-        raise ValidationError("--deltas must look like 0.1:0.9:0.1")
-    grid = list(np.arange(start, stop + step / 2, step))
-    rows = rho_curve(config, p, grid, restarts=restarts, seed=seed)
+    rows = rho_curve(config, p, _delta_grid(deltas), restarts=restarts, seed=seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["delta", "value", "grad_norm", "monotone_ok"])

@@ -12,7 +12,6 @@ no rate is available, so results are labeled per-p.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,8 @@ import numpy as np
 from .errors import ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
-from .linconfig import ConfigSystem, dual_constraint_solutions, dual_gradient, form_products
+from .linconfig import (ConfigSystem, dual_constraint_solutions, dual_density_and_gradient,
+                        dual_gradient)
 from .spectral import spectrum_array
 
 ARMIJO_C = 1e-4
@@ -33,6 +33,10 @@ NONMONOTONE_WINDOW = 10
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
+# bound on R*S*k, the spectrum values one lockstep batch of R runs gathers
+# at the S points of a k-form dual constraint lattice: the arrays of one
+# batch then take a few hundred KB
+ROW_CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass
@@ -92,104 +96,216 @@ def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> n
 
 
 def project_box_mean(v: np.ndarray, delta: float) -> np.ndarray:
-    """Euclidean projection onto {u in [0,1]^N : mean(u) = delta}.
-
-    The projection is clip(v - tau, 0, 1) for the shift tau at which
-    m(tau) = sum clip(v_i - tau, 0, 1) equals N*delta.  m is nonincreasing
-    and piecewise linear with knots at v_i and v_i - 1.  After one sort,
-    prefix sums give m at any point in O(log N); a bisection over each
-    family of knots then tells which sorted coordinates clip to 0, which to
-    1 and which are free, and tau solves the linear equation on the free
-    ones.  O(N log N), exact up to rounding."""
+    """Euclidean projection onto {u in [0,1]^N : mean(u) = delta}; see
+    _project_rows, which this runs on the one row v."""
     if not 0.0 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0, 1]")
     v = np.asarray(v, dtype=np.float64)
-    n = v.size
-    if v.ndim != 1 or n == 0:
+    if v.ndim != 1 or v.size == 0:
         raise ValidationError("can only project a non-empty one-dimensional vector")
-    s = np.sort(v)
-    # sorting puts NaN last and infinities at the ends
-    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+    if not np.all(np.isfinite(v)):
         raise ValidationError("cannot project a vector with non-finite entries")
-    csum = np.zeros(n + 1)
-    np.cumsum(s, out=csum[1:])
-    target = n * delta
+    return _project_rows(v[None], np.array([delta]))[0]
 
-    def m(t: float) -> float:
-        # s[:a] clip to 0, s[b:] to 1, the rest contribute s_i - t
-        a = int(s.searchsorted(t, side="right"))
-        b = int(s.searchsorted(t + 1.0, side="left"))
-        return (n - b) + float(csum[b] - csum[a]) - t * (b - a)
 
-    # tau >= s_i holds just for i < lo, and tau >= s_i - 1 just for i < hi;
-    # m(s_i - 1) >= m(s_i) + 1, so the second search can start at lo
-    lo = bisect.bisect_left(range(n), True, key=lambda i: m(float(s[i])) < target)
-    hi = bisect.bisect_left(range(n), True, lo, key=lambda i: m(float(s[i]) - 1.0) < target)
-    # the sorted coordinates below lo clip to 0, those from hi on to 1
-    s_lo, s_hi = (float(s[i]) if i < n else math.inf for i in (lo, hi))
-    one = v >= s_hi
-    if lo == hi:
-        return one.astype(np.float64)
-    free = (v >= s_lo) & ~one
-    tau = (float(csum[hi] - csum[lo]) + (n - hi) - target) / (hi - lo)
-    u = np.where(free, v - tau, one)
-    # exact mean repair within the free coordinates
-    u += free * ((target - float(u.sum())) / (hi - lo))
-    return np.minimum(np.maximum(u, 0.0), 1.0)
+def _project_rows(V: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Project each row of the finite (R, N) array V onto {u in [0,1]^N :
+    mean(u) = delta} for its own delta.
+
+    The projection is clip(v - tau, 0, 1) for the shift tau at which
+    m(tau) = sum clip(v_i - tau, 0, 1) equals N*delta.  m is nonincreasing
+    and piecewise linear with knots at v_i - 1, where coordinate i turns
+    free, and at v_i, where it clips to 0.  One sort of each row's 2N knots
+    and prefix sums of the slopes give m at every knot.  The last knot t
+    with m(t) >= N*delta splits the coordinates: v_i - 1 > t clip to 1,
+    v_i <= t clip to 0, the rest are free, and tau solves the linear
+    equation on the free ones.  O(N log N) per row, exact up to rounding."""
+    R, n = V.shape
+    target = n * deltas
+    knots = np.empty((R, 2 * n))
+    np.subtract(V, 1.0, out=knots[:, :n])
+    knots[:, n:] = V
+    order = np.argsort(knots, axis=1)
+    enters = order < n
+    order += 2 * n * np.arange(R)[:, None]
+    t = knots.ravel()[order]
+    del order
+    # free coordinates after each knot: entered minus left; tied knots may
+    # come in any order, as the slope between them is never used
+    free_after = enters.cumsum(axis=1, dtype=np.int32) * 2
+    free_after -= np.arange(1, 2 * n + 1, dtype=np.int32)
+    # m at the knots after the first, where it is n
+    m = t[:, 1:] - t[:, :-1]
+    m *= free_after[:, :-1]
+    m.cumsum(axis=1, out=m)
+    np.subtract(n, m, out=m)
+    # m is monotone in floating point too (every drop is nonnegative), so
+    # the last knot with m >= target ends a run of tied knots
+    t_last = t[np.arange(R), (m >= target[:, None]).sum(axis=1)][:, None]
+    one = knots[:, :n] > t_last
+    free = ~one & (V > t_last)
+    n_free = np.maximum(free.sum(axis=1), 1)
+    tau = (V.sum(axis=1, where=free) + one.sum(axis=1) - target) / n_free
+    u = np.where(free, V - tau[:, None], one)
+    # exact mean repair within the free coordinates; a row without free
+    # coordinates is already feasible
+    np.add(u, ((target - u.sum(axis=1)) / n_free)[:, None], out=u, where=free)
+    return np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (R, N) arrays, each one the same dot
+    product np.dot takes of a single pair of vectors."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _pg_norms(F: np.ndarray, grad: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Norms of the projected gradients F - P(F - grad), row by row."""
+    pg = F - _project_rows(F - grad, deltas)
+    return np.sqrt(_rowdot(pg, pg))
+
+
+def _objective(U: np.ndarray, sols: np.ndarray, group: GroupSpec):
+    """Densities (R,) and their gradients (R, N) at the rows of U."""
+    R, n = U.shape
+    axes = tuple(range(1, group.rank + 1))
+    spec = np.fft.fftn(U.astype(np.complex128).reshape((R,) + group.moduli), axes=axes)
+    spec /= n
+    values, grads = dual_density_and_gradient(sols, spec.reshape(R, n), group)
+    return values.real, grads
 
 
 def _pgd(
     sols: np.ndarray,
     group: GroupSpec,
-    start: np.ndarray,
-    delta: float,
+    starts: np.ndarray,
+    deltas: np.ndarray,
     max_iter: int,
     grad_tol: float,
-) -> tuple[np.ndarray, float, float, list[tuple[int, float]]]:
-    def value(u):
-        # the spectrum is returned too, for the gradient at an accepted step
-        spec = spectrum_array(DenseFn(group, u))
-        return float(np.sum(form_products(spec[None], sols)).real), spec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Projected gradient descent from each row of starts (R, N) at the
+    mean given by the same row of deltas (R,), with the rows advanced in
+    lockstep.
 
-    f = project_box_mean(start, delta)
-    val, spec = value(f)
-    trace = [(0, val)]
-    grad = dual_gradient(sols, spec, group)
-    # spectral (Barzilai-Borwein) initial step with a nonmonotone Armijo
-    # safeguard; a fixed unit step crawls through the flat valleys of this
-    # multilinear objective
-    init_step = ARMIJO_INIT_STEP
-    recent = [val]
+    Every row runs exactly as it would alone: a spectral (Barzilai-Borwein)
+    initial step with its own nonmonotone Armijo safeguard and backtracking
+    (a fixed unit step crawls through the flat valleys of this multilinear
+    objective), stopping when its projected gradient norm is at most
+    grad_tol, its line search fails, or after max_iter steps.  A stopped
+    row leaves the active set.  Returns the final points, their values and
+    projected gradient norms, and the history: for each iteration, the
+    rows still active after it and their values (see _row_trace)."""
+    R = starts.shape[0]
+    F = _project_rows(starts, deltas)
+    vals, grad = _objective(F, sols, group)
+    out_f, out_val, out_gnorm = np.empty_like(F), np.empty(R), np.empty(R)
+    # state of the active rows, indexed like rows
+    rows, dl = np.arange(R), deltas
+    history = [(rows, vals)]
+    init_step = np.full(R, ARMIJO_INIT_STEP)
+    recent = np.full((R, NONMONOTONE_WINDOW), -np.inf)
+    recent[:, 0] = vals
+
+    def finish(mask, gnorm):
+        out_f[rows[mask]] = F[mask]
+        out_val[rows[mask]] = vals[mask]
+        out_gnorm[rows[mask]] = gnorm[mask]
+
     for it in range(1, max_iter + 1):
-        pg = f - project_box_mean(f - grad, delta)
-        if float(np.linalg.norm(pg)) <= grad_tol:
+        pg = _pg_norms(F, grad, dl)
+        searching = np.flatnonzero(pg > grad_tol)
+        reference = recent.max(axis=1)
+        step = init_step.copy()
+        accepted = np.zeros(len(rows), dtype=bool)
+        cand, cvals, cgrad = np.empty_like(F), np.empty(len(rows)), np.empty_like(F)
+        while searching.size:
+            f, g = F[searching], grad[searching]
+            c = _project_rows(f - step[searching, None] * g, dl[searching])
+            cv, cg = _objective(c, sols, group)
+            ok = cv <= reference[searching] + ARMIJO_C * _rowdot(g, c - f)
+            hit = searching[ok]
+            accepted[hit] = True
+            cand[hit], cvals[hit], cgrad[hit] = c[ok], cv[ok], cg[ok]
+            searching = searching[~ok]
+            step[searching] *= ARMIJO_SHRINK
+            searching = searching[step[searching] > 1e-16]
+        if not accepted.all():
+            finish(~accepted, pg)
+            rows, dl, F, grad = rows[accepted], dl[accepted], F[accepted], grad[accepted]
+            init_step, recent = init_step[accepted], recent[accepted]
+            cand, cvals, cgrad = cand[accepted], cvals[accepted], cgrad[accepted]
+        if not rows.size:
             break
-        reference = max(recent[-NONMONOTONE_WINDOW:])
-        step = init_step
-        accepted = False
-        while step > 1e-16:
-            cand = project_box_mean(f - step * grad, delta)
-            cval, cspec = value(cand)
-            if cval <= reference + ARMIJO_C * float(np.dot(grad, cand - f)):
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
+        s = cand - F
+        sy = _rowdot(s, cgrad - grad)
+        # negative curvature along s: take the longest allowed step
+        init_step = np.where(
+            sy > 0.0,
+            np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
+                    SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
+            SPECTRAL_STEP_MAX,
+        )
+        F, vals, grad = cand, cvals, cgrad
+        recent[:, it % NONMONOTONE_WINDOW] = vals
+        history.append((rows, vals))
+    else:
+        finish(np.ones(len(rows), dtype=bool), _pg_norms(F, grad, dl))
+    return out_f, out_val, out_gnorm, history
+
+
+def _row_trace(history: list, row: int) -> list[tuple[int, float]]:
+    """The (iteration, value) trace of one row of a _pgd run."""
+    trace = []
+    for it, (rows, vals) in enumerate(history):
+        j = int(np.searchsorted(rows, row))
+        if j == len(rows) or rows[j] != row:
             break
-        new_grad = dual_gradient(sols, cspec, group)
-        s = cand - f
-        sy = float(np.dot(s, new_grad - grad))
-        if sy > 0.0:
-            init_step = min(max(float(np.dot(s, s)) / sy, SPECTRAL_STEP_MIN),
-                            SPECTRAL_STEP_MAX)
-        else:
-            # negative curvature along s: take the longest allowed step
-            init_step = SPECTRAL_STEP_MAX
-        f, val, grad = cand, cval, new_grad
-        recent.append(val)
-        trace.append((it, val))
-    pg = f - project_box_mean(f - grad, delta)
-    return f, val, float(np.linalg.norm(pg)), trace
+        trace.append((it, float(vals[j])))
+    return trace
+
+
+def _minimize_grid(
+    config: ConfigSystem,
+    group: GroupSpec,
+    deltas: list[float],
+    restarts: int,
+    seed: int,
+    max_iter: int,
+    grad_tol: float,
+) -> list[tuple[np.ndarray, float, float, list[tuple[int, float]]]]:
+    """Best of restarts + 1 PGD runs for each delta: the constant start f =
+    delta, then restart r from an RNG stream keyed by (seed, r).  All runs
+    of all deltas go through _pgd together, in chunks of at most
+    ROW_CHUNK_ELEMENTS / (S*k) rows so that the gathered spectrum values
+    stay bounded; the best final value wins, ties broken by restart index."""
+    sols = dual_constraint_solutions(config, group)
+    n = group.order
+    runs = max(restarts, 0) + 1
+    chunk = max(1, ROW_CHUNK_ELEMENTS // sols.size)
+    best: list = [None] * len(deltas)
+    for lo in range(0, len(deltas) * runs, chunk):
+        cells = [divmod(i, runs) for i in range(lo, min(lo + chunk, len(deltas) * runs))]
+        randoms = {r: np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
+                   for r in {r for _, r in cells if r > 0}}
+        starts = np.stack([randoms[r] if r else np.full(n, deltas[d]) for d, r in cells])
+        chunk_deltas = np.array([deltas[d] for d, _ in cells])
+        F, vals, gnorms, history = _pgd(sols, group, starts, chunk_deltas, max_iter, grad_tol)
+        for i, (d, _) in enumerate(cells):
+            if best[d] is None or vals[i] < best[d][1]:
+                best[d] = (F[i].copy(), float(vals[i]), float(gnorms[i]), history, i)
+    return [(f, val, gnorm, _row_trace(history, i)) for f, val, gnorm, history, i in best]
+
+
+def _check_inputs(p: int, seed: int, unsafe_group: bool, deltas) -> None:
+    check_seed(seed)
+    if not unsafe_group and not is_prime(p):
+        raise ValidationError(
+            f"p={p} is not prime; the extremal family uses prime-order groups "
+            "(pass unsafe_group to override)"
+        )
+    for d in deltas:
+        if not 0.0 <= d <= 1.0:
+            raise ValidationError(f"delta must lie in [0, 1], got {d}")
 
 
 def minimize_density(
@@ -209,34 +325,18 @@ def minimize_density(
     pass unsafe_group=True to allow composite orders, or supply an explicit
     group.  Deterministic given seed; restart r uses an RNG stream keyed by
     (seed, r), the constant function f = delta is always tried, and the
-    best final value wins (ties broken by restart index)."""
-    check_seed(seed)
+    best final value wins (ties broken by restart index).  All restarts run
+    in lockstep."""
+    _check_inputs(p, seed, unsafe_group or group is not None, [delta])
     if group is None:
-        if not unsafe_group and not is_prime(p):
-            raise ValidationError(
-                f"p={p} is not prime; the extremal family uses prime-order groups "
-                "(pass unsafe_group to override)"
-            )
         group = make_group([p])
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError("delta must lie in [0, 1]")
-    sols = dual_constraint_solutions(config, group)
-    n = group.order
-
-    restarts = max(restarts, 0)
-    best = None
-    for r in range(-1, restarts):
-        start = (np.full(n, delta) if r < 0 else
-                 np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n))
-        f, val, gnorm, trace = _pgd(sols, group, start, delta, max_iter, grad_tol)
-        if best is None or val < best[1]:
-            best = (f, val, gnorm, trace)
-    f, val, gnorm, trace = best
+    [(f, val, gnorm, trace)] = _minimize_grid(config, group, [delta], restarts, seed,
+                                              max_iter, grad_tol)
     return OptResult(
-        f_star=DenseFn(group, f.astype(np.complex128)),
+        f_star=DenseFn(group, f),
         value=val,
         grad_norm=gnorm,
-        restarts_used=restarts + 1,
+        restarts_used=max(restarts, 0) + 1,
         trace=trace,
     )
 
@@ -251,39 +351,25 @@ def rho_curve(
     grad_tol: float = DEFAULT_GRAD_TOL,
     unsafe_group: bool = False,
 ) -> list[dict]:
-    """Run minimize_density across a delta grid.  Rows carry a monotone
-    flag: the true curve is nondecreasing in delta, so a decrease marks a
-    restart that missed the basin."""
+    """minimize_density across a delta grid, with the runs of every delta
+    strictly inside (0, 1) in lockstep; row i equals minimize_density at
+    deltas[i], and delta 0 and 1 give the constant functions.  Rows carry a
+    monotone flag: the true curve is nondecreasing in delta, so a decrease
+    marks a restart that missed the basin."""
+    deltas = [float(d) for d in deltas]
+    _check_inputs(p, seed, unsafe_group, deltas)
+    group = make_group([p])
+    interior = [d for d in deltas if 0.0 < d < 1.0]
+    results = iter(_minimize_grid(config, group, interior, restarts, seed, max_iter, grad_tol)
+                   if interior else [])
     rows = []
     for d in deltas:
-        if d <= 0.0:
-            group = make_group([p])
-            f = DenseFn(group, np.zeros(group.order, dtype=np.complex128))
-            rows.append({"delta": 0.0, "value": 0.0, "grad_norm": 0.0, "f_star": f})
-            continue
-        if d >= 1.0:
-            group = make_group([p])
-            f = DenseFn(group, np.ones(group.order, dtype=np.complex128))
-            rows.append({"delta": 1.0, "value": 1.0, "grad_norm": 0.0, "f_star": f})
-            continue
-        res = minimize_density(
-            config,
-            p,
-            d,
-            restarts=restarts,
-            seed=seed,
-            max_iter=max_iter,
-            grad_tol=grad_tol,
-            unsafe_group=unsafe_group,
-        )
-        rows.append(
-            {
-                "delta": float(d),
-                "value": res.value,
-                "grad_norm": res.grad_norm,
-                "f_star": res.f_star,
-            }
-        )
+        if d in (0.0, 1.0):
+            f, val, gnorm = np.full(group.order, d), d, 0.0
+        else:
+            f, val, gnorm, _ = next(results)
+        rows.append({"delta": d, "value": val, "grad_norm": gnorm,
+                     "f_star": DenseFn(group, f)})
     best_so_far = -math.inf
     for row in rows:
         row["monotone_ok"] = row["value"] >= best_so_far - 1e-9

@@ -9,8 +9,9 @@ All Fourier-side work runs on one engine: the dual constraint lattice
 {r : Lambda^T r = 0}, enumerated once as an (S, k) array by
 dual_constraint_solutions.  The density is a gather and product over its
 rows (density_fourier) and the gradient in the values of a real function
-is one FFT of the leave-one-out products (dual_gradient), which is what
-the optimizer in extremal runs on.  Direct summation (density_brute) is
+is one FFT of the leave-one-out products (dual_gradient); the optimizer in
+extremal gets both for a stack of functions from one gather
+(dual_density_and_gradient).  Direct summation (density_brute) is
 kept as the independent oracle, and Monte Carlo sampling as an estimate.
 """
 
@@ -217,20 +218,55 @@ def dual_constraint_solutions(
     return group.flat_index(coords).reshape(-1, k)
 
 
-def dual_gradient(sols: np.ndarray, spec: np.ndarray, group: GroupSpec) -> np.ndarray:
-    """Gradient of t(L, f) = sum_r prod_j fhat(r_j) with respect to the
-    value table of a real f, from its spectrum and the dual solutions.
+def dual_density_and_gradient(
+    sols: np.ndarray, spec: np.ndarray, group: GroupSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Densities t(L, f) = sum_r prod_j fhat(r_j) and their gradients with
+    respect to the value tables, for a stack of real functions f given by
+    their spectra: spec is (R, N), the densities (R,) and the gradients
+    (R, N).  Both come from the same spectrum values gathered at the dual
+    solutions.
 
-    d fhat(r) / d f(a) = conj(chi_r(a)) / N, so the gradient is fftn(G) / N
+    d fhat(r) / d f(a) = conj(chi_r(a)) / N, so a gradient is fftn(G) / N
     where G(r) sums, over forms j and solutions with r_j = r, the product
-    of the other forms' spectrum values: one FFT for all forms."""
-    N = group.order
-    vals = spec[sols]
-    loo = np.stack([np.prod(np.delete(vals, j, axis=1), axis=1)
-                    for j in range(sols.shape[1])], axis=1).ravel()
-    flat = sols.ravel()
-    G = np.bincount(flat, loo.real, N) + 1j * np.bincount(flat, loo.imag, N)
-    return np.fft.fftn(G.reshape(group.moduli)).real.reshape(-1) / N
+    of the other forms' spectrum values.  Prefix and suffix products along
+    the form axis give these leave-one-out products for every j; one
+    bincount with row offsets and one FFT over the group axes finish all
+    rows.  Memory is O(R*S*k): callers bound R."""
+    R, N = spec.shape
+    k = sols.shape[1]
+    spec = spec.ravel()
+    # (k, R, S) flat indices into spec; the arrays below are contiguous in
+    # this layout, so each row's arithmetic does not depend on R
+    idx = sols.T[:, None, :] + N * np.arange(R)[:, None]
+    # loo[j] is first the product of the forms before j, then the product
+    # of the forms after j is multiplied in; a form's spectrum values are
+    # gathered where they are used, not held for all forms at once
+    loo = np.empty(idx.shape, dtype=np.complex128)
+    loo[0] = 1.0
+    for j in range(1, k):
+        np.multiply(loo[j - 1], spec[idx[j - 1]], out=loo[j])
+    suffix = spec[idx[-1]]
+    densities = np.sum(loo[-1] * suffix, axis=-1)
+    for j in range(k - 2, -1, -1):
+        loo[j] *= suffix
+        if j:
+            suffix *= spec[idx[j]]
+    del suffix  # freed before the bincounts copy out their weights
+    flat, loo = idx.ravel(), loo.ravel()
+    G = np.bincount(flat, loo.real, R * N) + 1j * np.bincount(flat, loo.imag, R * N)
+    axes = tuple(range(1, group.rank + 1))
+    grads = np.fft.fftn(G.reshape((R,) + group.moduli), axes=axes).real.reshape(R, N) / N
+    return densities, grads
+
+
+def dual_gradient(sols: np.ndarray, spec: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Gradient of t(L, f) with respect to the value table of a real f,
+    from its spectrum and the dual solutions.  spec is one spectrum (N,) or
+    a stack (R, N); the result has the same shape."""
+    spec = np.asarray(spec)
+    _, grads = dual_density_and_gradient(sols, spec.reshape(-1, group.order), group)
+    return grads.reshape(spec.shape)
 
 
 def density_fourier(

@@ -4,6 +4,17 @@ import pytest
 
 from grouplim import DenseFn, SparseFn, make_group
 from grouplim.errors import ValidationError
+from grouplim.extremal import (
+    ARMIJO_C,
+    ARMIJO_INIT_STEP,
+    ARMIJO_SHRINK,
+    NONMONOTONE_WINDOW,
+    SPECTRAL_STEP_MAX,
+    SPECTRAL_STEP_MIN,
+    project_box_mean,
+)
+from grouplim.linconfig import dual_gradient, form_products
+from grouplim.spectral import spectrum_array
 
 
 def random_dense(group, seed, real=False, box=False):
@@ -96,6 +107,62 @@ def project_box_mean_bisect(v, delta, tol=1e-12):
         u[free] += gap * u.size / int(free.sum())
         u = np.clip(u, 0.0, 1.0)
     return u
+
+
+def pgd_serial(
+    sols: np.ndarray,
+    group,
+    start: np.ndarray,
+    delta: float,
+    max_iter: int,
+    grad_tol: float,
+):
+    """Oracle for extremal._pgd: one projected gradient descent run on its
+    own, with the step rule and stopping rule of the lockstep version."""
+    def value(u):
+        # the spectrum is returned too, for the gradient at an accepted step
+        spec = spectrum_array(DenseFn(group, u))
+        return float(np.sum(form_products(spec[None], sols)).real), spec
+
+    f = project_box_mean(start, delta)
+    val, spec = value(f)
+    trace = [(0, val)]
+    grad = dual_gradient(sols, spec, group)
+    # spectral (Barzilai-Borwein) initial step with a nonmonotone Armijo
+    # safeguard; a fixed unit step crawls through the flat valleys of this
+    # multilinear objective
+    init_step = ARMIJO_INIT_STEP
+    recent = [val]
+    for it in range(1, max_iter + 1):
+        pg = f - project_box_mean(f - grad, delta)
+        if float(np.linalg.norm(pg)) <= grad_tol:
+            break
+        reference = max(recent[-NONMONOTONE_WINDOW:])
+        step = init_step
+        accepted = False
+        while step > 1e-16:
+            cand = project_box_mean(f - step * grad, delta)
+            cval, cspec = value(cand)
+            if cval <= reference + ARMIJO_C * float(np.dot(grad, cand - f)):
+                accepted = True
+                break
+            step *= ARMIJO_SHRINK
+        if not accepted:
+            break
+        new_grad = dual_gradient(sols, cspec, group)
+        s = cand - f
+        sy = float(np.dot(s, new_grad - grad))
+        if sy > 0.0:
+            init_step = min(max(float(np.dot(s, s)) / sy, SPECTRAL_STEP_MIN),
+                            SPECTRAL_STEP_MAX)
+        else:
+            # negative curvature along s: take the longest allowed step
+            init_step = SPECTRAL_STEP_MAX
+        f, val, grad = cand, cval, new_grad
+        recent.append(val)
+        trace.append((it, val))
+    pg = f - project_box_mean(f - grad, delta)
+    return f, val, float(np.linalg.norm(pg)), trace
 
 
 @pytest.fixture

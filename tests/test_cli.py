@@ -1,8 +1,13 @@
 """End-to-end CLI behavior: exit codes, JSON shape, determinism."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, make_group
 from grouplim.cli import main
@@ -114,6 +119,63 @@ def test_rho_curve_writes_csv(capsys, tmp_path):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "delta,value,grad_norm,monotone_ok"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("deltas", ["0.1:0.9:0", "0.1:0.9:-0.1", "nan:0.5:0.1", "0:inf:0.1",
+                                    "0:1:-inf", "0.9:0.1:0.1", "-0.5:0.5:0.5", "0:1.5:0.5",
+                                    "0:1:1e-300", "0.1:0.9", "a:b:c"])
+def test_rho_curve_rejects_bad_grids(capsys, deltas):
+    code, out = run(capsys, ["rho-curve", "--config", "ap3", "--p", "5", "--restarts", "1",
+                             "--deltas", deltas])
+    assert code == 1 and out == ""
+
+
+def test_rho_curve_rejects_bad_group_or_seed_for_endpoint_grids(capsys):
+    for extra in (["--p", "9"], ["--p", "5", "--seed", "-1"]):
+        code, _ = run(capsys, ["rho-curve", "--config", "ap3", "--deltas", "0:1:1"] + extra)
+        assert code == 1
+
+
+def test_rho_curve_grid_ends_on_stop(capsys):
+    # 0.1 + 18 * 0.05 rounds to 1.0000000000000004; 0:1:0.15 reaches 1.05;
+    # 1 + 1e-300 / 2 rounds to 1
+    for deltas, last, size in (("0.1:1.0:0.05", 1.0, 19), ("0:1:0.15", 1.0, 8),
+                               ("1:1:1e-300", 1.0, 1)):
+        code, out = run(capsys, ["rho-curve", "--config", "ap3", "--p", "5", "--restarts", "1",
+                                 "--deltas", deltas])
+        rows = out.strip().splitlines()[1:]
+        assert code == 0 and len(rows) == size
+        assert float(rows[-1].split(",")[0]) == last
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+GRID_PARTS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "-0.5", "1.5", "nan", "inf", "-inf", "-0", "1e-300",
+                     "-0.1", "0.0", "x", ""]),
+    st.floats(-0.5, 1.5).map(repr),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(GRID_PARTS, GRID_PARTS, GRID_PARTS))
+def test_rho_curve_grid_fuzz_exits_0_or_1_with_strict_json(parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_csv = os.path.join(tmp, "curve.csv")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["rho-curve", "--config", "ap3", "--p", "5", "--restarts", "1",
+                         "--deltas", ":".join(parts), "--out", out_csv])
+        assert code in (0, 1)
+        if code == 0:
+            assert _strict_json(stdout.getvalue())["rows"] >= 1
+        else:
+            assert stdout.getvalue() == ""
 
 
 def test_hom_verify_bridge(capsys, dense_file, tmp_path):

@@ -3,17 +3,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouplim import DenseFn, make_group
+from grouplim import DenseFn, extremal, make_group
 from grouplim.errors import ValidationError
 from grouplim.extremal import (
+    _pgd,
+    _project_rows,
+    _row_trace,
     density_gradient,
     is_prime,
     minimize_density,
     project_box_mean,
     rho_curve,
 )
-from grouplim.linconfig import builtin_config, density_brute
-from conftest import project_box_mean_bisect, random_dense
+from grouplim.linconfig import builtin_config, density_brute, dual_constraint_solutions
+from conftest import pgd_serial, project_box_mean_bisect, random_dense
 
 
 def test_projection_lands_in_feasible_set():
@@ -64,6 +67,24 @@ def test_projection_matches_bisection_oracle(xs, log_scale, delta):
     assert np.max(np.abs(u - project_box_mean_bisect(v, delta))) <= 1e-9
     assert np.all(u >= 0.0) and np.all(u <= 1.0)
     assert abs(float(np.mean(u)) - delta) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_project_rows_matches_bisection_oracle_row_by_row(data):
+    n = data.draw(st.integers(1, 600))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        xs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        # rounding to 0.1 makes ties among the inputs and among the knots
+        rows.append(np.round(np.array(xs) * 10.0 ** data.draw(st.floats(-3.0, 8.0)), 1))
+    deltas = np.array([data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+                       for _ in rows])
+    U = _project_rows(np.stack(rows), deltas)
+    for u, v, delta in zip(U, rows, deltas):
+        assert np.max(np.abs(u - project_box_mean_bisect(v, delta))) <= 1e-9
+        assert np.all(u >= 0.0) and np.all(u <= 1.0)
+        assert abs(float(np.mean(u)) - delta) <= 1e-9
 
 
 @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0], [],
@@ -177,3 +198,101 @@ def test_rho_curve_endpoints_and_monotone_flags():
     assert rows[0]["value"] == 0.0 and rows[0]["grad_norm"] == 0.0
     assert rows[-1]["value"] == 1.0
     assert all(r["monotone_ok"] for r in rows)
+
+
+def _starts(n, deltas, restarts, seed):
+    """The starts minimize_density runs for each delta, stacked."""
+    rand = [np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n)
+            for r in range(restarts)]
+    return (np.stack([row for d in deltas for row in [np.full(n, d)] + rand]),
+            np.repeat(deltas, restarts + 1))
+
+
+@pytest.mark.parametrize("moduli, name, deltas, restarts", [
+    ([31], "ap3", [round(0.1 * i, 1) for i in range(1, 10)], 16),
+    ([401], "ap3", [0.5], 4),
+    ([61], "parallelogram", [0.5], 16),
+    ([3, 5], "ap3", [0.4], 4),
+    ([3, 5], "parallelogram", [0.3, 0.7], 4),
+])
+def test_lockstep_rows_match_serial_runs(moduli, name, deltas, restarts):
+    G = make_group(moduli)
+    sols = dual_constraint_solutions(builtin_config(name), G)
+    starts, row_deltas = _starts(G.order, deltas, restarts, seed=7)
+    F, vals, gnorms, history = _pgd(sols, G, starts, row_deltas, 3000, 1e-8)
+    for i, (start, delta) in enumerate(zip(starts, row_deltas)):
+        f, val, gnorm, trace = pgd_serial(sols, G, start, delta, 3000, 1e-8)
+        assert vals[i] == pytest.approx(val, abs=1e-12)
+        assert np.max(np.abs(F[i] - f)) <= 1e-9
+        assert gnorms[i] == pytest.approx(gnorm, abs=1e-12)
+        # each row stopped at the same iteration as its serial run
+        assert len(_row_trace(history, i)) == len(trace)
+
+
+def test_lockstep_row_stops_at_max_iter():
+    G = make_group([31])
+    sols = dual_constraint_solutions(builtin_config("ap3"), G)
+    starts, row_deltas = _starts(G.order, [0.3, 0.6], 3, seed=2)
+    for max_iter in (0, 1, 5):
+        F, vals, gnorms, history = _pgd(sols, G, starts, row_deltas, max_iter, 1e-8)
+        for i, (start, delta) in enumerate(zip(starts, row_deltas)):
+            f, val, gnorm, trace = pgd_serial(sols, G, start, delta, max_iter, 1e-8)
+            assert vals[i] == pytest.approx(val, abs=1e-12)
+            assert gnorms[i] == pytest.approx(gnorm, abs=1e-12)
+            got = _row_trace(history, i)
+            assert [it for it, _ in got] == [it for it, _ in trace]
+            assert np.allclose([v for _, v in got], [v for _, v in trace], rtol=0, atol=1e-12)
+
+
+def test_rho_curve_rows_equal_single_minimizations():
+    cfg = builtin_config("ap3")
+    deltas = [0.0, 0.2, 0.45, 0.7, 1.0]
+    rows = rho_curve(cfg, 13, deltas, restarts=3, seed=4)
+    for row, delta in zip(rows, deltas):
+        res = minimize_density(cfg, 13, delta, restarts=3, seed=4)
+        assert row["delta"] == delta
+        assert row["value"] == pytest.approx(res.value, abs=1e-12)
+        assert np.allclose(row["f_star"].values, res.f_star.values, rtol=0, atol=1e-9)
+
+
+def test_chunked_runs_match_one_batch(monkeypatch):
+    cfg = builtin_config("ap3")
+    deltas = [0.25, 0.5, 0.75]
+    whole = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
+    single = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
+    batches = []
+
+    def spy(sols, group, starts, *args):
+        batches.append(len(starts))
+        return _pgd(sols, group, starts, *args)
+
+    # S*k = 33 spectrum values per run: 2 runs per chunk
+    monkeypatch.setattr(extremal, "ROW_CHUNK_ELEMENTS", 70)
+    monkeypatch.setattr(extremal, "_pgd", spy)
+    chunked = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
+    assert batches == [2] * 6
+    for a, b in zip(whole, chunked):
+        assert a["value"] == pytest.approx(b["value"], abs=1e-12)
+        assert a["grad_norm"] == pytest.approx(b["grad_norm"], abs=1e-12)
+    monkeypatch.setattr(extremal, "ROW_CHUNK_ELEMENTS", 1)
+    res = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
+    assert batches[6:] == [1] * 4
+    assert res.value == pytest.approx(single.value, abs=1e-12)
+    assert [it for it, _ in res.trace] == [it for it, _ in single.trace]
+    assert np.allclose([v for _, v in res.trace], [v for _, v in single.trace],
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p": 9}, {"seed": -1}, {"deltas": [0.5, -0.5]}, {"deltas": [0.5, 1.5]},
+    {"deltas": [0.5, np.nan]}, {"deltas": [np.inf]}, {"deltas": [-np.inf, 0.5]},
+])
+def test_rho_curve_validates_before_any_work(kwargs, monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(extremal, "dual_constraint_solutions", fail)
+    args = {"p": 7, "deltas": [0.0, 0.5, 1.0], "seed": 0} | kwargs
+    with pytest.raises(ValidationError):
+        rho_curve(builtin_config("ap3"), args["p"], args["deltas"], restarts=1,
+                  seed=args["seed"])

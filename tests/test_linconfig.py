@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from grouplim import constant_fn, indicator_fn, make_group
+from grouplim import DenseFn, constant_fn, indicator_fn, make_group
 from grouplim.errors import BudgetError, ValidationError
 from grouplim.linconfig import (
     ConfigSystem,
@@ -13,9 +13,11 @@ from grouplim.linconfig import (
     density_fourier,
     density_monte_carlo,
     dual_constraint_solutions,
+    dual_density_and_gradient,
+    dual_gradient,
     graph_config,
 )
-from grouplim.spectral import u2_fourier
+from grouplim.spectral import spectrum_array, u2_fourier
 from conftest import random_dense
 
 
@@ -124,6 +126,28 @@ def test_dual_constraint_solutions_match_brute_enumeration(name, moduli):
     assert len({tuple(r) for r in sols.tolist()}) == len(sols)
     every = np.stack(np.unravel_index(np.arange(N**k), (N,) * k), axis=-1)
     assert len(sols) == np.count_nonzero(solves(every))
+
+
+@pytest.mark.parametrize("name", ["ap3", "parallelogram", "graph:0-1,0-2,0-3,1-2,1-3,2-3"])
+def test_batched_gradient_matches_rows_and_central_differences(name):
+    G = make_group([2, 6])
+    cfg = builtin_config(name)
+    sols = dual_constraint_solutions(cfg, G)
+    fs = [random_dense(G, seed=30 + r, box=True) for r in range(3)]
+    spec = np.stack([spectrum_array(f) for f in fs])
+    densities, grads = dual_density_and_gradient(sols, spec, G)
+    assert np.array_equal(dual_gradient(sols, spec, G), grads)
+    h = 1e-6
+    for f, s, dens, grad in zip(fs, spec, densities, grads):
+        assert np.allclose(dual_gradient(sols, s, G), grad, rtol=0, atol=1e-14)
+        assert dens == pytest.approx(density_brute(cfg, f), abs=1e-12)
+        for i in range(G.order):
+            up, dn = f.values.copy(), f.values.copy()
+            up[i] += h
+            dn[i] -= h
+            fd = (density_brute(cfg, DenseFn(G, up)).real
+                  - density_brute(cfg, DenseFn(G, dn)).real) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_parallelogram_density_is_fourth_power_of_u2():
