@@ -115,9 +115,6 @@ class SparseFn:
     def l2_norm(self) -> float:
         return self.declared_l2 if self.declared_l2 is not None else self.stored_l2()
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self.entries.values()), default=0.0)
-
     def to_json(self) -> dict:
         out = {
             "group": self.group.to_json(),

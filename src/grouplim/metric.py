@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, PrecisionError, ValidationError
 from .functions import DenseFn, SparseFn
@@ -188,6 +188,68 @@ def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     )
 
 
+def _search(
+    f1: SparseFn,
+    f2: SparseFn,
+    sources: Sequence[Elem],
+    targets: Optional[set[Elem]],
+    tol: float,
+    weight: int,
+    budget: _Budget,
+    accept: Optional[Callable[[list[Elem], list[Elem]], bool]] = None,
+) -> Optional[PartialIso]:
+    """Backtracking search for an injective map from stored entries of f1
+    to stored entries of f2 that pairs values within tol and keeps every
+    relation of weight <= weight.
+
+    Each of the sources is mapped in order; then, unless targets is None,
+    the least target not yet in the image is covered from f1's entries,
+    until none is left.  The partners of an element are the other
+    function's entries within tol of its value, tried in the order
+    (|f1(g) - f2(h)|, element).  The map is returned once it is complete
+    and accept(gs, hs) holds (or accept is None); None means no map exists.
+
+    Node charges: one per call of the recursion, one more on entering the
+    cover phase, and one per step of each Cayley-ball check.  BudgetError
+    is raised when they exceed the budget."""
+    g1, g2 = f1.group, f2.group
+    gs: list[Elem] = []
+    hs: list[Elem] = []
+
+    def partners(v: complex, entries: dict[Elem, complex]) -> list[Elem]:
+        return [x for _, x in sorted((abs(v - w), x) for x, w in entries.items()
+                                     if abs(v - w) <= tol)]
+
+    def rec() -> Optional[PartialIso]:
+        budget.spend()
+        i = len(gs)
+        if i < len(sources):
+            g, used = sources[i], set(hs)
+            pairs = [(g, h) for h in partners(f1.entries[g], f2.entries) if h not in used]
+        else:
+            if i == len(sources) and targets is not None:
+                budget.spend()
+            missing = targets - set(hs) if targets else ()
+            if not missing:
+                if accept is None or accept(gs, hs):
+                    return PartialIso(tuple(zip(gs, hs)), weight)
+                return None
+            h, used = min(missing), set(gs)
+            pairs = [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
+        for g, h in pairs:
+            gs.append(g)
+            hs.append(h)
+            if _relations_consistent(gs, hs, g1, g2, weight, budget):
+                res = rec()
+                if res is not None:
+                    return res
+            gs.pop()
+            hs.pop()
+        return None
+
+    return rec()
+
+
 def exists_eps_iso(
     f1: SparseFn,
     f2: SparseFn,
@@ -195,153 +257,41 @@ def exists_eps_iso(
     weight: Optional[int] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[PartialIso]:
-    """Search for an eps-isomorphism between f1 and f2.
+    """Search for an eps-isomorphism between f1 and f2: a map of
+    supp_eps(f1), padded with further stored entries of f1 so that its image
+    covers supp_eps(f2), pairing values within eps and keeping every
+    relation of weight ceil(1/eps) (or the given weight).
 
     Returns a witnessing PartialIso or None when the (exhaustive,
     budget-bounded) backtracking proves none exists.  Raises BudgetError if
-    the node cap was hit, which is distinguishable from a definite None.
-
-    The domain is supp_eps(f1) plus padding elements (drawn from the stored
-    entries of f1) matched to any elements of supp_eps(f2) that the main
-    assignment leaves uncovered; value-compatible candidate targets are
-    tried in order of |f1(g) - f2(h)|, ties broken lexicographically.
-    """
+    the node cap was hit, which is distinguishable from a definite None."""
+    sources, targets = sorted(supp_eps(f1, eps)), supp_eps(f2, eps)
     if weight is None:
-        weight = math.ceil(1.0 / eps - 1e-12)
-    g1, g2 = f1.group, f2.group
-    s1 = sorted(supp_eps(f1, eps))
-    s2 = supp_eps(f2, eps)
-    budget = _Budget(node_budget)
-
-    def candidates_for_source(g: Elem) -> list[Elem]:
-        v = f1.entries.get(g, 0.0)
-        cands = [
-            h
-            for h, w in f2.entries.items()
-            if abs(v - w) <= eps + 1e-15
-        ]
-        cands.sort(key=lambda h: (abs(v - f2.entries[h]), h))
-        return cands
-
-    def candidates_for_target(h: Elem) -> list[Elem]:
-        w = f2.entries[h]
-        cands = [
-            g
-            for g, v in f1.entries.items()
-            if abs(v - w) <= eps + 1e-15
-        ]
-        cands.sort(key=lambda g: (abs(f1.entries[g] - w), g))
-        return cands
-
-    gs: list[Elem] = []
-    hs: list[Elem] = []
-    used_targets: set[Elem] = set()
-    used_sources: set[Elem] = set()
-
-    def extend(g: Elem, h: Elem) -> bool:
-        gs.append(g1.reduce(g))
-        hs.append(g2.reduce(h))
-        ok = _relations_consistent(gs, hs, g1, g2, weight, budget)
-        if not ok:
-            gs.pop()
-            hs.pop()
-        return ok
-
-    def retract():
-        gs.pop()
-        hs.pop()
-
-    def assign_sources(i: int) -> Optional[PartialIso]:
-        budget.spend()
-        if i == len(s1):
-            return cover_targets(sorted(s2 - set(hs)))
-        g = s1[i]
-        for h in candidates_for_source(g):
-            if h in used_targets:
-                continue
-            if extend(g, h):
-                used_targets.add(h)
-                used_sources.add(g)
-                res = assign_sources(i + 1)
-                if res is not None:
-                    return res
-                used_targets.discard(h)
-                used_sources.discard(g)
-                retract()
-        return None
-
-    def cover_targets(missing: list[Elem]) -> Optional[PartialIso]:
-        budget.spend()
-        missing = sorted(set(missing) - set(hs))
-        if not missing:
-            return PartialIso(tuple(zip(tuple(gs), tuple(hs))), weight)
-        h = missing[0]
-        for g in candidates_for_target(h):
-            if g in used_sources:
-                continue
-            if extend(g, h):
-                used_sources.add(g)
-                used_targets.add(h)
-                res = cover_targets(missing[1:])
-                if res is not None:
-                    return res
-                used_sources.discard(g)
-                used_targets.discard(h)
-                retract()
-        return None
-
-    return assign_sources(0)
+        weight = max(1, math.ceil(1.0 / eps - 1e-12))
+    elif weight < 1:
+        raise ValidationError("weight must be a positive integer")
+    return _search(f1, f2, sources, targets, eps + 1e-15, weight, _Budget(node_budget))
 
 
-def _try_exact_isomorphism(
-    f1: SparseFn, f2: SparseFn, node_budget: int
-) -> Optional[PartialIso]:
-    """Look for a value-preserving bijection between the stored supports
-    whose relation lattices coincide exactly; such a certificate collapses
-    the bracket to [0, 0]."""
-    e1 = sorted(f1.entries)
-    e2 = sorted(f2.entries)
-    if len(e1) != len(e2):
-        return None
-    v1 = sorted((f1.entries[g].real, f1.entries[g].imag) for g in e1)
-    v2 = sorted((f2.entries[h].real, f2.entries[h].imag) for h in e2)
-    if any(
+def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[PartialIso]:
+    """A value-preserving bijection between the stored supports whose
+    relation lattices coincide exactly, or None (also when the budget runs
+    out).  Such a certificate collapses the bracket to [0, 0].  The value
+    multisets agree, so a map of every stored entry of f1 into those of f2
+    covers them all and needs no cover phase."""
+    v1 = sorted((v.real, v.imag) for v in f1.entries.values())
+    v2 = sorted((w.real, w.imag) for w in f2.entries.values())
+    if len(v1) != len(v2) or any(
         abs(a[0] - b[0]) > EXACT_TOL or abs(a[1] - b[1]) > EXACT_TOL
         for a, b in zip(v1, v2)
     ):
         return None
-    g1, g2 = f1.group, f2.group
-    budget = _Budget(node_budget)
-    gs: list[Elem] = []
-    hs: list[Elem] = []
-    used: set[Elem] = set()
-
-    def rec(i: int) -> Optional[PartialIso]:
-        budget.spend()
-        if i == len(e1):
-            if relations_match(gs, g1, hs, g2):
-                return PartialIso(tuple(zip(tuple(gs), tuple(hs))), DEFAULT_WEIGHT_CAP)
-            return None
-        g = e1[i]
-        v = f1.entries[g]
-        for h in e2:
-            if h in used or abs(f2.entries[h] - v) > EXACT_TOL:
-                continue
-            gs.append(g)
-            hs.append(h)
-            # weight-capped pruning before the exact check
-            if _relations_consistent(gs, hs, g1, g2, DEFAULT_WEIGHT_CAP, budget):
-                used.add(h)
-                res = rec(i + 1)
-                if res is not None:
-                    return res
-                used.discard(h)
-            gs.pop()
-            hs.pop()
-        return None
-
     try:
-        return rec(0)
+        return _search(
+            f1, f2, sorted(f1.entries), None, EXACT_TOL, DEFAULT_WEIGHT_CAP,
+            _Budget(node_budget),
+            accept=lambda gs, hs: relations_match(gs, f1.group, hs, f2.group),
+        )
     except BudgetError:
         return None
 
@@ -353,14 +303,10 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     vals1 = [abs(v) for v in f1.entries.values()]
     vals2 = [abs(v) for v in f2.entries.values()]
     eps_max = max(vals1 + vals2, default=0.0)
-    cands = set()
-    for m in range(1, weight_cap + 1):
-        cands.add(1.0 / m)
+    cands = {1.0 / m for m in range(1, weight_cap + 1)}
     cands.update(vals1)
     cands.update(vals2)
-    for v in f1.entries.values():
-        for w in f2.entries.values():
-            cands.add(abs(v - w))
+    cands.update(abs(v - w) for v in f1.entries.values() for w in f2.entries.values())
     floor = max(f1.truncation, f2.truncation)
     out = sorted(c for c in cands if floor < c <= eps_max + 1e-15)
     # merge near-duplicates
@@ -386,10 +332,14 @@ def dhat(
     weight min(ceil(1/eps), weight_cap), and any probe run under a binding
     cap or exhausted budget flags the bracket instead of being reported as
     exact."""
+    if weight_cap < 1:
+        raise ValidationError("weight_cap must be a positive integer")
+    if node_budget < 1:
+        raise ValidationError("node_budget must be a positive integer")
     if not f1.entries and not f2.entries:
         return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
 
-    exact_iso = _try_exact_isomorphism(f1, f2, node_budget)
+    exact_iso = _exact_iso(f1, f2, node_budget)
     if exact_iso is not None:
         return DistBracket(0.0, 0.0, witness=exact_iso, exact=True)
 
@@ -404,7 +354,7 @@ def dhat(
         if i in results:
             return results[i]
         eps = cands[i]
-        req_weight = math.ceil(1.0 / eps - 1e-12)
+        req_weight = max(1, math.ceil(1.0 / eps - 1e-12))
         capped = req_weight > weight_cap
         weight = min(req_weight, weight_cap)
         try:
@@ -432,39 +382,25 @@ def dhat(
                 probe(j)
             break
 
-    feas_idx = [i for i, (f, _, _) in results.items() if f is True]
-    infeas_idx = [i for i, (f, _, _) in results.items() if f is False]
-    if feas_idx:
-        hi_i = min(feas_idx)
-        hi_val = cands[hi_i]
-        _, hi_capped, hi_wit = results[hi_i]
-    else:
-        hi_i, hi_val, hi_capped, hi_wit = None, float("inf"), False, None
-    below = [i for i in infeas_idx if hi_i is None or i < hi_i]
-    lo_val = cands[max(below)] if below else 0.0
-    # only trust lo as the adjacent candidate if every candidate between lo
-    # and hi was verified infeasible
-    if hi_i is not None:
-        start = max(below) + 1 if below else 0
-        for j in range(start, hi_i):
-            fj, _, _ = results.get(j, (None, False, None))
-            if fj is not False:
-                # unverified gap below hi: widen lo down to the largest
-                # contiguous verified-infeasible prefix boundary
-                verified_prefix = 0.0
-                for jj in range(hi_i):
-                    fj2, _, _ = results.get(jj, (None, False, None))
-                    if fj2 is False:
-                        verified_prefix = cands[jj]
-                    else:
-                        break
-                lo_val = verified_prefix
-                break
+    feasible = [i for i, (f, _, _) in results.items() if f is True]
+    if not feasible:
+        raise BudgetError("could not verify feasibility at any candidate eps within budget")
+    hi_i = min(feasible)
+    _, hi_capped, hi_wit = results[hi_i]
+    hi_val = cands[hi_i]
 
-    if hi_val == float("inf"):
-        raise BudgetError(
-            "could not verify feasibility at any candidate eps within budget"
-        )
+    def infeasible(j: int) -> bool:
+        return j in results and results[j][0] is False
+
+    # lo is the candidate just below hi when that one was verified
+    # infeasible; otherwise only the leading run of verified-infeasible
+    # candidates is trusted
+    top = hi_i
+    if not infeasible(hi_i - 1):
+        top = 0
+        while infeasible(top):
+            top += 1
+    lo_val = cands[top - 1] if top else 0.0
     exact = (hi_val - lo_val) <= EXACT_TOL and not hi_capped and not any_budget
     return DistBracket(
         lo=lo_val,

@@ -7,6 +7,7 @@ tables one actually inspects."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,6 +63,8 @@ def pairwise_table(
 def cauchy_detect(table: Sequence[Sequence[Optional[DistBracket]]], tol: float) -> tuple[bool, Optional[int]]:
     """True iff some tail of the sequence has all pairwise upper bounds at
     most tol; returns the least such tail index."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
     n = len(table)
     # a tail needs at least two terms; a singleton passes vacuously
     for start in range(n - 1):

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from grouplim import DenseFn, SparseFn, make_group
-from grouplim.errors import ValidationError
+from grouplim.errors import BudgetError, ValidationError
 from grouplim.extremal import (
     ARMIJO_C,
     ARMIJO_INIT_STEP,
@@ -13,7 +15,15 @@ from grouplim.extremal import (
     SPECTRAL_STEP_MIN,
     project_box_mean,
 )
+from grouplim.intlattice import relations_match
 from grouplim.linconfig import dual_gradient, form_products
+from grouplim.metric import (
+    DEFAULT_WEIGHT_CAP,
+    EXACT_TOL,
+    PartialIso,
+    _Budget,
+    _relations_consistent,
+)
 from grouplim.spectral import spectrum_array
 
 
@@ -67,6 +77,60 @@ def relations_consistent_enum(gs, hs, g1, g2, weight):
         for idx in range(len(gs))
         for cn in range(1, weight + 1)
     )
+
+
+def exact_iso_oracle(
+    f1: SparseFn, f2: SparseFn, node_budget: int
+) -> Optional[PartialIso]:
+    """Oracle for metric's exact pass: look for a value-preserving bijection
+    between the stored supports whose relation lattices coincide exactly;
+    such a certificate collapses the bracket to [0, 0].  Candidates are
+    tried in element order."""
+    e1 = sorted(f1.entries)
+    e2 = sorted(f2.entries)
+    if len(e1) != len(e2):
+        return None
+    v1 = sorted((f1.entries[g].real, f1.entries[g].imag) for g in e1)
+    v2 = sorted((f2.entries[h].real, f2.entries[h].imag) for h in e2)
+    if any(
+        abs(a[0] - b[0]) > EXACT_TOL or abs(a[1] - b[1]) > EXACT_TOL
+        for a, b in zip(v1, v2)
+    ):
+        return None
+    g1, g2 = f1.group, f2.group
+    budget = _Budget(node_budget)
+    gs: list = []
+    hs: list = []
+    used: set = set()
+
+    def rec(i: int) -> Optional[PartialIso]:
+        budget.spend()
+        if i == len(e1):
+            if relations_match(gs, g1, hs, g2):
+                return PartialIso(tuple(zip(tuple(gs), tuple(hs))), DEFAULT_WEIGHT_CAP)
+            return None
+        g = e1[i]
+        v = f1.entries[g]
+        for h in e2:
+            if h in used or abs(f2.entries[h] - v) > EXACT_TOL:
+                continue
+            gs.append(g)
+            hs.append(h)
+            # weight-capped pruning before the exact check
+            if _relations_consistent(gs, hs, g1, g2, DEFAULT_WEIGHT_CAP, budget):
+                used.add(h)
+                res = rec(i + 1)
+                if res is not None:
+                    return res
+                used.discard(h)
+            gs.pop()
+            hs.pop()
+        return None
+
+    try:
+        return rec(0)
+    except BudgetError:
+        return None
 
 
 def project_box_mean_bisect(v, delta, tol=1e-12):

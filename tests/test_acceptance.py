@@ -254,6 +254,26 @@ def test_criterion_5_metric_vs_exhaustive_oracle():
             f"{mismatches} bracket mismatches, {triangle_bad} triangle violations")
 
 
+@pytest.mark.parametrize("node_budget", [20, 200])
+def test_starved_brackets_contain_the_oracle_infimum(node_budget):
+    # budgets this small leave candidates unprobed or undecided, so lo
+    # falls back to the leading run of verified-infeasible candidates
+    groups = [make_group(m)
+              for m in ([6], [8], [12], [2, 4], [10], [9], [7], [2, 6])]
+    rng = np.random.default_rng(606)
+    starved = 0
+    for _ in range(40):
+        f1 = _random_sparse(groups[rng.integers(len(groups))], rng,
+                            int(rng.integers(1, 6)))
+        f2 = _random_sparse(groups[rng.integers(len(groups))], rng,
+                            int(rng.integers(1, 6)))
+        b = dhat(f1, f2, node_budget=node_budget)
+        inf = _oracle_infimum(f1, f2)
+        assert b.lo - 1e-12 <= inf <= b.hi + 1e-12, (f1, f2, b)
+        starved += b.budget_exceeded
+    assert starved > 0
+
+
 def test_criterion_6_circle_to_torus_spectra():
     start = time.monotonic()
     line = make_group([0])

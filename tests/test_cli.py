@@ -237,6 +237,24 @@ def test_exit_code_budget(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("limit", [["--weight-cap", "0"], ["--weight-cap", "-3"],
+                                   ["--budget", "0"], ["--budget", "-5"]])
+def test_dist_rejects_bad_search_limits(capsys, tmp_path, dense_file, limit):
+    G = make_group([6])
+    other = tmp_path / "g.json"
+    other.write_text(json.dumps(DenseFn(G, np.arange(1.0, 7.0) + 0j).to_json()))
+    for rhs in (dense_file, str(other)):
+        code, out = run(capsys, ["dist", "--lhs", dense_file, "--rhs", rhs] + limit)
+        assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_converge_rejects_bad_tol(capsys, dense_file, tol):
+    code, out = run(capsys, ["converge", "--fns", f"{dense_file},{dense_file}",
+                             "--tol", tol])
+    assert (code, out) == (1, "")
+
+
 def test_bad_seed_and_sample_count_exit_1(capsys, dense_file):
     mc = ["density", "--config", "ap3", "--fn", dense_file, "--method", "mc"]
     for argv in (["round", "--fn", dense_file, "--seed", "-1"],

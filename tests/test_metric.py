@@ -1,12 +1,19 @@
 """Distance brackets, partial isomorphisms, and epsilon-supports."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, SparseFn, constant_fn, make_group
+from grouplim import metric
 from grouplim.errors import BudgetError, PrecisionError, ValidationError
+from grouplim.intlattice import relations_match
 from grouplim.metric import (
+    DEFAULT_NODE_BUDGET,
+    EXACT_TOL,
     PartialIso,
+    _exact_iso,
     check_partial_iso,
     d_metric,
     dhat,
@@ -14,7 +21,13 @@ from grouplim.metric import (
     exists_eps_iso,
     supp_eps,
 )
-from conftest import random_dense, random_sparse, relations_consistent_enum
+from grouplim.spectral import dft
+from conftest import (
+    exact_iso_oracle,
+    random_dense,
+    random_sparse,
+    relations_consistent_enum,
+)
 
 
 def test_supp_eps_strict_threshold():
@@ -146,6 +159,87 @@ def test_crt_pullback_is_exact_zero_within_small_budget():
     assert (b.lo, b.hi, b.exact, b.budget_exceeded) == (0.0, 0.0, True, False)
 
 
+@st.composite
+def _exact_pass_inputs(draw):
+    """A pair of spectra for the exact pass and whether an exact witness
+    exists (None: unknown).  The pairs are (f, f), a CRT pull-back, an
+    automorphism relabelling, or f's spectrum with its values shuffled over
+    its support (same value multiset, relations usually broken); f is
+    generic complex, or real with f(x) = f(-x), whose spectrum has tied
+    values.  Or a unit spike at 1 on Z_m against one on Z_n (n = 0 is the
+    free group Z): once m and n exceed 12, no relation of weight <= 12
+    tells them apart, only the exact relation check does."""
+    kind = draw(st.sampled_from(["self", "crt", "auto", "shuffled", "spike"]))
+    if kind == "spike":
+        m, n = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        spikes = [SparseFn(make_group([k]), {(1,): 1.0}) for k in (m, n)]
+        return m == n, *spikes
+    if kind == "crt":
+        a, b = draw(st.sampled_from([(2, 3), (2, 5), (3, 4), (4, 3)]))
+        G = make_group([a * b])
+    elif kind == "auto":
+        G = make_group([draw(st.integers(3, 12))])
+    else:
+        G = make_group(draw(st.sampled_from(
+            [[5], [6], [8], [9], [12], [2, 4], [2, 6], [3, 3]])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    elems = list(G.elements())
+    if draw(st.booleans()):
+        index = {e: i for i, e in enumerate(elems)}
+        base = rng.standard_normal(len(elems))
+        vals = [base[i] + base[index[G.reduce(tuple(-x for x in e))]]
+                for i, e in enumerate(elems)]
+        f = DenseFn(G, np.array(vals, dtype=np.complex128))
+    else:
+        f = random_dense(G, seed=int(rng.integers(2**16)))
+    s1 = dft(f)
+    if kind == "self":
+        return True, s1, dft(f)
+    if kind == "crt":
+        return True, s1, dft(_crt_pullback(f, a, b))
+    if kind == "auto":
+        n = G.order
+        u = draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]))
+        return True, s1, dft(DenseFn(G, f.values[(u * np.arange(n)) % n]))
+    keys = list(s1.entries)
+    perm = rng.permutation(len(keys))
+    return None, s1, SparseFn(G, {keys[j]: v for j, v in zip(perm, s1.entries.values())})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_pass_inputs())
+def test_exact_pass_finds_a_witness_exactly_when_the_oracle_does(case):
+    expected, s1, s2 = case
+    wit = _exact_iso(s1, s2, DEFAULT_NODE_BUDGET)
+    assert (wit is None) == (exact_iso_oracle(s1, s2, DEFAULT_NODE_BUDGET) is None)
+    if expected is not None:
+        assert (wit is not None) == expected
+    if wit is not None:
+        assert sorted(wit.domain()) == sorted(s1.entries)
+        assert sorted(wit.image()) == sorted(s2.entries)
+        assert all(abs(s1.entries[g] - s2.entries[h]) <= EXACT_TOL for g, h in wit.pairs)
+        assert relations_match(wit.domain(), s1.group, wit.image(), s2.group)
+
+
+@pytest.mark.parametrize("limits", [dict(weight_cap=0), dict(weight_cap=-3),
+                                    dict(node_budget=0), dict(node_budget=-5)])
+def test_dhat_rejects_bad_search_limits_before_searching(monkeypatch, limits):
+    monkeypatch.setattr(metric, "_search", lambda *a, **k: pytest.fail("searched"))
+    G = make_group([6])
+    f, g = random_sparse(G, seed=3, size=4), random_sparse(G, seed=4, size=4)
+    for pair in ((f, f), (f, g), (SparseFn(G, {}), SparseFn(G, {}))):
+        with pytest.raises(ValidationError):
+            dhat(*pair, **limits)
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_exists_eps_iso_rejects_nonpositive_weight(monkeypatch, weight):
+    monkeypatch.setattr(metric, "_search", lambda *a, **k: pytest.fail("searched"))
+    f = random_sparse(make_group([8]), seed=4, size=4)
+    with pytest.raises(ValidationError):
+        exists_eps_iso(f, f, eps=0.05, weight=weight)
+
+
 def test_exhausted_budget_is_reported_not_a_precision_error():
     # the two spectra agree up to float noise, far below the truncation
     # threshold; such differences are not candidate eps values
@@ -240,3 +334,10 @@ def test_empty_spectra_are_at_distance_zero():
     G = make_group([4])
     b = dhat(SparseFn(G, {}), SparseFn(make_group([7]), {}))
     assert (b.lo, b.hi, b.exact) == (0.0, 0.0, True)
+
+
+def test_dhat_probes_eps_above_one_at_weight_one():
+    # at eps >= 1e12, ceil(1/eps - slack) is 0; a probe there needs weight 1
+    G = make_group([5])
+    b = dhat(SparseFn(G, {(1,): 2e12}), SparseFn(G, {(2,): 3e12}))
+    assert (b.lo, b.hi, b.witness.weight) == (1.0, 1e12, 1)

@@ -123,3 +123,11 @@ def test_continuity_probe_reports_complexity_flag():
     assert len(rows) == 3
     for d_hi, dt in rows:
         assert d_hi >= 0 and dt >= 0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_cauchy_detect_rejects_tol_that_is_not_finite_and_nonnegative(tol):
+    table = pairwise_table(pullback_sequence())
+    with pytest.raises(ValidationError):
+        cauchy_detect(table, tol)
+    assert cauchy_detect(table, 0.0) == (True, 0)
