@@ -41,7 +41,7 @@ from .linconfig import (
 )
 from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, d_metric, dhat, dprime
 from .rounding import adjust_density, randomized_round, round_best_of
-from .sequences import cauchy_detect, pairwise_table
+from .sequences import cauchy_detect, check_tol, pairwise_table
 from .spectral import dft, u2_direct, u2_fourier
 
 
@@ -248,7 +248,8 @@ def cmd_minimize(config_spec, p, delta, restarts, seed, max_iter, unsafe_group):
     )
     _emit(res.to_json(), started, seed=seed, restarts=restarts,
           step_rule={"armijo_c": ARMIJO_C, "shrink": ARMIJO_SHRINK,
-                     "init": "spectral"})
+                     "init": "spectral"},
+          stats=res.stats)
 
 
 # a --deltas grid with more steps than this is refused before it is built
@@ -334,6 +335,7 @@ def cmd_hom(graph_path, fn_path, do_verify):
 def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     """Pairwise distance table for a function sequence plus Cauchy check."""
     started = time.monotonic()
+    check_tol(tol)
     if "," in fn_glob:
         paths = [p for p in fn_glob.split(",") if p]
     else:

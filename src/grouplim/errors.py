@@ -25,8 +25,9 @@ class BudgetError(GrouplimError):
     """
 
 
-def check_seed(seed: int) -> None:
-    """Reject a user seed that cannot key a Philox stream (keys are
-    unsigned)."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+def check_seed(seed: int, bits: int = 128) -> None:
+    """Reject a user seed that cannot key a Philox stream: keys are
+    unsigned and below 2**128, and a caller that derives several keys from
+    one seed passes the bits left for the seed."""
+    if not 0 <= seed < 1 << bits:
+        raise ValidationError(f"seed must be an integer in [0, 2**{bits}), got {seed}")

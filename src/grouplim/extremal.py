@@ -33,10 +33,10 @@ NONMONOTONE_WINDOW = 10
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
-# bound on R*S*k, the spectrum values one lockstep batch of R runs gathers
-# at the S points of a k-form dual constraint lattice: the arrays of one
-# batch then take a few hundred KB
-ROW_CHUNK_ELEMENTS = 1 << 12
+# bound on the bytes one _project_rows or _objective call allocates: a
+# batch of runs, and the backtracking ladders of its searching rows, take
+# at most _call_rows rows per call
+CALL_BYTES = 1 << 19
 
 
 @dataclass
@@ -46,6 +46,10 @@ class OptResult:
     grad_norm: float
     restarts_used: int
     trace: list[tuple[int, float]] = field(default_factory=list)
+    # how the runs went: per run (constant start first) its iterations,
+    # rejected Armijo trial steps and final projected-gradient norm; per
+    # call the _pgd batches, _objective calls and rows those evaluated
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -175,6 +179,37 @@ def _objective(U: np.ndarray, sols: np.ndarray, group: GroupSpec):
     return values.real, grads
 
 
+def _row_bytes(sols: np.ndarray, n: int) -> int:
+    """Bytes that one row adds to a call, an upper bound on tracemalloc's
+    peak over the workload's shapes.  An _objective row holds under 48
+    bytes per spectrum value gathered at the dual solutions (its int64
+    index, complex gathered value and leave-one-out product, and float64
+    bincount weight) and 80 per coordinate (FFT inputs and outputs).  A
+    _project_rows row holds under 104 per coordinate (the (R, 2N) knots,
+    their sort order and the sorted knots), and a _pgd row projects two
+    rows in one call: its gradient step and its first trial point."""
+    return max(48 * sols.size + 80 * n, 2 * 104 * n)
+
+
+def _call_rows(sols: np.ndarray, n: int) -> int:
+    """Rows that one _pgd batch, or one ladder pass, may take under
+    CALL_BYTES."""
+    return max(1, CALL_BYTES // _row_bytes(sols, n))
+
+
+@dataclass
+class _History:
+    """What one _pgd batch did: the rows still active after each iteration
+    with their values, each row's accepted steps and rejected Armijo trial
+    steps (the count its serial run would reject), and the _objective calls
+    and rows they evaluated."""
+    active: list[tuple[np.ndarray, np.ndarray]]
+    iterations: np.ndarray
+    backtracks: np.ndarray
+    objective_calls: int
+    rows_evaluated: int
+
+
 def _pgd(
     sols: np.ndarray,
     group: GroupSpec,
@@ -182,7 +217,7 @@ def _pgd(
     deltas: np.ndarray,
     max_iter: int,
     grad_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _History]:
     """Projected gradient descent from each row of starts (R, N) at the
     mean given by the same row of deltas (R,), with the rows advanced in
     lockstep.
@@ -192,16 +227,29 @@ def _pgd(
     (a fixed unit step crawls through the flat valleys of this multilinear
     objective), stopping when its projected gradient norm is at most
     grad_tol, its line search fails, or after max_iter steps.  A stopped
-    row leaves the active set.  Returns the final points, their values and
-    projected gradient norms, and the history: for each iteration, the
-    rows still active after it and their values (see _row_trace)."""
-    R = starts.shape[0]
+    row leaves the active set.
+
+    An iteration starts with one _project_rows call that gives every row
+    its projected gradient, for the stopping test, and its first trial
+    point.  Rows whose first step fails Armijo then try ladders of the next
+    halvings s/2, s/4, ... down to the 1e-16 floor, as many steps per row
+    as fit in _call_rows rows, one _project_rows and one _objective call
+    per pass: a row that needs ~27 halvings after a SPECTRAL_STEP_MAX step
+    no longer holds the batch for 27 calls.  Each row takes the first step
+    of its ladder that passes Armijo, the step its serial backtracking
+    takes, and rows are computed independently of each other, so each
+    matches its serial run bit for bit.  Returns the final points, their
+    values and projected gradient norms, and the _History (see
+    _row_trace)."""
+    R, n = starts.shape
+    cap = _call_rows(sols, n)
     F = _project_rows(starts, deltas)
     vals, grad = _objective(F, sols, group)
     out_f, out_val, out_gnorm = np.empty_like(F), np.empty(R), np.empty(R)
     # state of the active rows, indexed like rows
     rows, dl = np.arange(R), deltas
-    history = [(rows, vals)]
+    history = _History([(rows, vals)], np.zeros(R, dtype=np.int64),
+                       np.zeros(R, dtype=np.int64), objective_calls=1, rows_evaluated=R)
     init_step = np.full(R, ARMIJO_INIT_STEP)
     recent = np.full((R, NONMONOTONE_WINDOW), -np.inf)
     recent[:, 0] = vals
@@ -212,23 +260,51 @@ def _pgd(
         out_gnorm[rows[mask]] = gnorm[mask]
 
     for it in range(1, max_iter + 1):
-        pg = _pg_norms(F, grad, dl)
-        searching = np.flatnonzero(pg > grad_tol)
-        reference = recent.max(axis=1)
+        m = len(rows)
         step = init_step.copy()
-        accepted = np.zeros(len(rows), dtype=bool)
-        cand, cvals, cgrad = np.empty_like(F), np.empty(len(rows)), np.empty_like(F)
+        # one projection gives the projected gradients and the first trial
+        # points, the ladders of depth 1 of the first pass (init_step is at
+        # least SPECTRAL_STEP_MIN, so every row tries its first step)
+        proj = _project_rows(np.concatenate([F - grad, F - step[:, None] * grad]),
+                             np.concatenate([dl, dl]))
+        pg = F - proj[:m]
+        pg = np.sqrt(_rowdot(pg, pg))
+        searching = np.flatnonzero(pg > grad_tol)
+        c, depth = proj[m + searching], 1
+        reference = recent.max(axis=1)
+        accepted = np.zeros(m, dtype=bool)
+        cand, cvals, cgrad = np.empty_like(F), np.empty(m), np.empty_like(F)
         while searching.size:
-            f, g = F[searching], grad[searching]
-            c = _project_rows(f - step[searching, None] * g, dl[searching])
+            # ladder[i, j] = step * ARMIJO_SHRINK**j by repeated products,
+            # as the serial halvings compute it; column depth starts the
+            # next pass
+            ladder = np.full((searching.size, depth + 1), ARMIJO_SHRINK)
+            ladder[:, 0] = step[searching]
+            ladder = np.multiply.accumulate(ladder, axis=1)
+            tried = ladder[:, :depth] > 1e-16
+            li, lj = np.nonzero(tried)
+            r = searching[li]
+            f, g = F[r], grad[r]
+            if c is None:
+                c = _project_rows(f - ladder[li, lj, None] * g, dl[r])
             cv, cg = _objective(c, sols, group)
-            ok = cv <= reference[searching] + ARMIJO_C * _rowdot(g, c - f)
-            hit = searching[ok]
+            history.objective_calls += 1
+            history.rows_evaluated += li.size
+            ok = np.zeros_like(tried)
+            ok[li, lj] = cv <= reference[r] + ARMIJO_C * _rowdot(g, c - f)
+            first = ok.argmax(axis=1)
+            found = ok[np.arange(searching.size), first]
+            n_tried = tried.sum(axis=1)
+            # the trials of row i start at position n_tried[:i].sum() of c
+            at = (np.cumsum(n_tried) - n_tried + first)[found]
+            hit = searching[found]
             accepted[hit] = True
-            cand[hit], cvals[hit], cgrad[hit] = c[ok], cv[ok], cg[ok]
-            searching = searching[~ok]
-            step[searching] *= ARMIJO_SHRINK
+            cand[hit], cvals[hit], cgrad[hit] = c[at], cv[at], cg[at]
+            history.backtracks[rows[searching]] += np.where(found, first, n_tried)
+            step[searching] = ladder[:, depth]
+            searching = searching[~found]
             searching = searching[step[searching] > 1e-16]
+            c, depth = None, max(1, cap // max(searching.size, 1))
         if not accepted.all():
             finish(~accepted, pg)
             rows, dl, F, grad = rows[accepted], dl[accepted], F[accepted], grad[accepted]
@@ -247,16 +323,17 @@ def _pgd(
         )
         F, vals, grad = cand, cvals, cgrad
         recent[:, it % NONMONOTONE_WINDOW] = vals
-        history.append((rows, vals))
+        history.iterations[rows] += 1
+        history.active.append((rows, vals))
     else:
         finish(np.ones(len(rows), dtype=bool), _pg_norms(F, grad, dl))
     return out_f, out_val, out_gnorm, history
 
 
-def _row_trace(history: list, row: int) -> list[tuple[int, float]]:
+def _row_trace(history: _History, row: int) -> list[tuple[int, float]]:
     """The (iteration, value) trace of one row of a _pgd run."""
     trace = []
-    for it, (rows, vals) in enumerate(history):
+    for it, (rows, vals) in enumerate(history.active):
         j = int(np.searchsorted(rows, row))
         if j == len(rows) or rows[j] != row:
             break
@@ -272,17 +349,21 @@ def _minimize_grid(
     seed: int,
     max_iter: int,
     grad_tol: float,
-) -> list[tuple[np.ndarray, float, float, list[tuple[int, float]]]]:
+) -> tuple[list[tuple[np.ndarray, float, float, list[tuple[int, float]]]], dict]:
     """Best of restarts + 1 PGD runs for each delta: the constant start f =
     delta, then restart r from an RNG stream keyed by (seed, r).  All runs
-    of all deltas go through _pgd together, in chunks of at most
-    ROW_CHUNK_ELEMENTS / (S*k) rows so that the gathered spectrum values
-    stay bounded; the best final value wins, ties broken by restart index."""
+    of all deltas go through _pgd together, in batches of at most
+    _call_rows rows, so that no call of a batch allocates more than about
+    CALL_BYTES; the best final value wins, ties broken by restart index.
+    Also returns the stats of OptResult, with each per-run list holding
+    the runs of every delta in turn."""
     sols = dual_constraint_solutions(config, group)
     n = group.order
     runs = max(restarts, 0) + 1
-    chunk = max(1, ROW_CHUNK_ELEMENTS // sols.size)
+    chunk = _call_rows(sols, n)
     best: list = [None] * len(deltas)
+    stats = {"iterations": [], "backtracks": [], "grad_norms": [], "batches": 0,
+             "objective_calls": 0, "rows_evaluated": 0}
     for lo in range(0, len(deltas) * runs, chunk):
         cells = [divmod(i, runs) for i in range(lo, min(lo + chunk, len(deltas) * runs))]
         randoms = {r: np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
@@ -293,11 +374,20 @@ def _minimize_grid(
         for i, (d, _) in enumerate(cells):
             if best[d] is None or vals[i] < best[d][1]:
                 best[d] = (F[i].copy(), float(vals[i]), float(gnorms[i]), history, i)
-    return [(f, val, gnorm, _row_trace(history, i)) for f, val, gnorm, history, i in best]
+        stats["iterations"] += history.iterations.tolist()
+        stats["backtracks"] += history.backtracks.tolist()
+        stats["grad_norms"] += gnorms.tolist()
+        stats["batches"] += 1
+        stats["objective_calls"] += history.objective_calls
+        stats["rows_evaluated"] += history.rows_evaluated
+    return [(f, val, gnorm, _row_trace(history, i)) for f, val, gnorm, history, i in best], stats
 
 
-def _check_inputs(p: int, seed: int, unsafe_group: bool, deltas) -> None:
-    check_seed(seed)
+def _check_inputs(p: int, seed: int, max_iter: int, unsafe_group: bool, deltas) -> None:
+    # restart r draws from the Philox key seed * 2**20 + r - 1
+    check_seed(seed, bits=108)
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
     if not unsafe_group and not is_prime(p):
         raise ValidationError(
             f"p={p} is not prime; the extremal family uses prime-order groups "
@@ -327,17 +417,18 @@ def minimize_density(
     (seed, r), the constant function f = delta is always tried, and the
     best final value wins (ties broken by restart index).  All restarts run
     in lockstep."""
-    _check_inputs(p, seed, unsafe_group or group is not None, [delta])
+    _check_inputs(p, seed, max_iter, unsafe_group or group is not None, [delta])
     if group is None:
         group = make_group([p])
-    [(f, val, gnorm, trace)] = _minimize_grid(config, group, [delta], restarts, seed,
-                                              max_iter, grad_tol)
+    [(f, val, gnorm, trace)], stats = _minimize_grid(config, group, [delta], restarts, seed,
+                                                     max_iter, grad_tol)
     return OptResult(
         f_star=DenseFn(group, f),
         value=val,
         grad_norm=gnorm,
         restarts_used=max(restarts, 0) + 1,
         trace=trace,
+        stats=stats,
     )
 
 
@@ -357,11 +448,11 @@ def rho_curve(
     monotone flag: the true curve is nondecreasing in delta, so a decrease
     marks a restart that missed the basin."""
     deltas = [float(d) for d in deltas]
-    _check_inputs(p, seed, unsafe_group, deltas)
+    _check_inputs(p, seed, max_iter, unsafe_group, deltas)
     group = make_group([p])
     interior = [d for d in deltas if 0.0 < d < 1.0]
-    results = iter(_minimize_grid(config, group, interior, restarts, seed, max_iter, grad_tol)
-                   if interior else [])
+    results = iter(_minimize_grid(config, group, interior, restarts, seed, max_iter,
+                                  grad_tol)[0] if interior else [])
     rows = []
     for d in deltas:
         if d in (0.0, 1.0):

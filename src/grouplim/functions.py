@@ -110,7 +110,9 @@ class SparseFn:
         return self.entries.get(self.group.reduce(g), 0.0 + 0.0j)
 
     def stored_l2(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.entries.values()))
+        # hypot scales internally, so huge or tiny entries neither overflow
+        # nor underflow when squared
+        return math.hypot(*(abs(v) for v in self.entries.values()))
 
     def l2_norm(self) -> float:
         return self.declared_l2 if self.declared_l2 is not None else self.stored_l2()

@@ -115,7 +115,9 @@ def supp_eps(f: SparseFn, eps: float) -> set[Elem]:
             f"eps={eps} is at or below the truncation threshold {f.truncation}"
         )
     supp = {g for g, v in f.entries.items() if abs(v) > eps}
-    bound = f.l2_norm() ** 2 / eps**2
+    # a float product saturates at inf where ** would raise OverflowError
+    ratio = f.l2_norm() / eps
+    bound = ratio * ratio
     if len(supp) > bound + 1e-9:
         raise PrecisionError(
             f"support bound violated: |supp|={len(supp)} > l2^2/eps^2={bound}"
@@ -319,6 +321,14 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     return merged
 
 
+def check_search_limits(weight_cap: int, node_budget: int) -> None:
+    """Reject a relation weight cap or a node budget below 1."""
+    if weight_cap < 1:
+        raise ValidationError("weight_cap must be a positive integer")
+    if node_budget < 1:
+        raise ValidationError("node_budget must be a positive integer")
+
+
 def dhat(
     f1: SparseFn,
     f2: SparseFn,
@@ -332,10 +342,7 @@ def dhat(
     weight min(ceil(1/eps), weight_cap), and any probe run under a binding
     cap or exhausted budget flags the bracket instead of being reported as
     exact."""
-    if weight_cap < 1:
-        raise ValidationError("weight_cap must be a positive integer")
-    if node_budget < 1:
-        raise ValidationError("node_budget must be a positive integer")
+    check_search_limits(weight_cap, node_budget)
     if not f1.entries and not f2.entries:
         return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
 

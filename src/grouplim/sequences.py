@@ -20,6 +20,7 @@ from .metric import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WEIGHT_CAP,
     DistBracket,
+    check_search_limits,
     d_metric,
     dhat,
     dprime_from_spectra,
@@ -39,6 +40,7 @@ def pairwise_table(
     spectrum computed once for the whole table."""
     if metric not in ("d", "dprime"):
         raise ValidationError("metric must be 'd' or 'dprime'")
+    check_search_limits(weight_cap, node_budget)
     n = len(fs)
     specs = [dft(f) for f in fs]
     norms = [f.l2_norm() for f in fs]
@@ -60,11 +62,16 @@ def pairwise_table(
     return table
 
 
+def check_tol(tol: float) -> None:
+    """Reject a Cauchy tolerance that is negative or not finite."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def cauchy_detect(table: Sequence[Sequence[Optional[DistBracket]]], tol: float) -> tuple[bool, Optional[int]]:
     """True iff some tail of the sequence has all pairwise upper bounds at
     most tol; returns the least such tail index."""
-    if not math.isfinite(tol) or tol < 0:
-        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+    check_tol(tol)
     n = len(table)
     # a tail needs at least two terms; a singleton passes vacuously
     for start in range(n - 1):

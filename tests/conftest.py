@@ -16,7 +16,7 @@ from grouplim.extremal import (
     project_box_mean,
 )
 from grouplim.intlattice import relations_match
-from grouplim.linconfig import dual_gradient, form_products
+from grouplim.linconfig import dual_gradient
 from grouplim.metric import (
     DEFAULT_WEIGHT_CAP,
     EXACT_TOL,
@@ -184,9 +184,15 @@ def pgd_serial(
     """Oracle for extremal._pgd: one projected gradient descent run on its
     own, with the step rule and stopping rule of the lockstep version."""
     def value(u):
-        # the spectrum is returned too, for the gradient at an accepted step
+        # the spectrum is returned too, for the gradient at an accepted step;
+        # the products are taken form by form with binary multiplies, as
+        # the lockstep objective takes them (np.prod's reduction can round a
+        # complex product differently in the last bit)
         spec = spectrum_array(DenseFn(group, u))
-        return float(np.sum(form_products(spec[None], sols)).real), spec
+        prod = spec[sols[:, 0]]
+        for j in range(1, sols.shape[1]):
+            prod = prod * spec[sols[:, j]]
+        return float(np.sum(prod).real), spec
 
     f = project_box_mean(start, delta)
     val, spec = value(f)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouplim import DenseFn, make_group
+from grouplim import DenseFn, cli as cli_module, make_group
 from grouplim.cli import main
 from grouplim.graphon import Graph
 
@@ -108,6 +108,25 @@ def test_minimize_reports_upper_bound(capsys):
     assert payload["bound_kind"] == "upper bound"
     assert payload["value"] == pytest.approx(1 / 16, abs=1e-4)
     assert meta["step_rule"]["armijo_c"] == 1e-4
+
+
+def test_minimize_reports_run_stats_in_meta(capsys):
+    code, out = run(capsys, ["minimize", "--config", "ap3", "--p", "7", "--delta", "0.4",
+                             "--restarts", "2"])
+    assert code == 0
+    payload, meta = parse(out)
+    stats = meta["stats"]
+    assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == 3
+    assert payload["grad_norm"] in stats["grad_norms"]
+    assert stats["batches"] >= 1 and stats["objective_calls"] >= 1
+    assert stats["rows_evaluated"] >= 3
+    assert "stats" not in payload
+
+
+def test_minimize_rejects_negative_max_iter(capsys):
+    code, out = run(capsys, ["minimize", "--config", "ap3", "--p", "5", "--delta", "0.5",
+                             "--max-iter", "-1"])
+    assert (code, out) == (1, "")
 
 
 def test_rho_curve_writes_csv(capsys, tmp_path):
@@ -255,6 +274,40 @@ def test_converge_rejects_bad_tol(capsys, dense_file, tol):
     assert (code, out) == (1, "")
 
 
+@pytest.mark.parametrize("limit", [["--weight-cap", "0"], ["--budget", "-5"],
+                                   ["--weight-cap", "0", "--budget", "-5"]])
+def test_converge_rejects_bad_search_limits_for_a_single_function(capsys, dense_file, limit):
+    code, out = run(capsys, ["converge", "--fns", dense_file] + limit)
+    assert (code, out) == (1, "")
+
+
+def test_converge_checks_tol_before_the_table(capsys, monkeypatch, dense_file):
+    def fail(*args, **kwargs):
+        raise AssertionError("table built before --tol was checked")
+
+    monkeypatch.setattr(cli_module, "pairwise_table", fail)
+    code, out = run(capsys, ["converge", "--fns", f"{dense_file},{dense_file}", "--tol", "-1"])
+    assert (code, out) == (1, "")
+
+
+def test_dist_on_huge_raw_spectra_exits_0_or_1_never_3(capsys, tmp_path):
+    # |v|^2 overflows a float for both spikes
+    paths = []
+    for name, v in (("a", 1e200), ("b", 2e200)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": {"moduli": [5]},
+                                    "entries": [{"elem": [1], "re": v, "im": 0.0}]}))
+        paths.append(str(path))
+    code = main(["dist", "--lhs", paths[0], "--rhs", paths[1], "--raw-spectra"])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 0:
+        payload = _strict_json(captured.out)
+        assert 0.0 <= payload["lo"] <= payload["hi"]
+    else:
+        assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_bad_seed_and_sample_count_exit_1(capsys, dense_file):
     mc = ["density", "--config", "ap3", "--fn", dense_file, "--method", "mc"]
     for argv in (["round", "--fn", dense_file, "--seed", "-1"],
@@ -270,3 +323,38 @@ def test_non_finite_json_is_rejected(capsys, tmp_path):
     path.write_text('{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}')
     assert main(["u2", "--fn", str(path)]) == 1
     assert capsys.readouterr().out == ""
+
+
+def _ints(lo, hi, *extra):
+    """Integer arguments in [lo, hi] or among extra, as command-line text."""
+    return st.one_of(st.integers(lo, hi), *map(st.just, extra)).map(str)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["minimize", "rho-curve"]),
+    st.sampled_from(["ap3", "parallelogram"]),
+    st.one_of(st.sampled_from(["2", "3", "5", "7", "11", "13", "x", "", "7.0"]), _ints(-3, 13)),
+    st.one_of(st.floats(-0.5, 1.5).map(repr),
+              st.sampled_from(["0", "1", "nan", "inf", "-0", "x"])),
+    st.sampled_from(["0.1:0.9:0.4", "0:1:0.5", "0.5:0.5:0.1", "0.9:0.1:0.1", "nan:1:0.5", "x"]),
+    _ints(-2, 3),
+    _ints(-3, 40, 3000, -(2**70)),
+    _ints(-2, 5, 2**64, 2**108 - 1, 2**108, 2**128, -(2**70)),
+)
+def test_minimize_and_rho_curve_fuzz_exit_0_1_or_2_with_strict_json(
+        command, config, p, delta, deltas, restarts, max_iter, seed):
+    argv = [command, "--config", config, "--p", p, "--restarts", restarts, "--seed", seed]
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "minimize":
+            argv += ["--delta", delta, "--max-iter", max_iter]
+        else:
+            argv += ["--deltas", deltas, "--out", os.path.join(tmp, "curve.csv")]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        _strict_json(stdout.getvalue())
+    else:
+        assert stdout.getvalue() == ""

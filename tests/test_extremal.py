@@ -1,4 +1,6 @@
 """Constrained density minimization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,8 @@ from grouplim.extremal import (
     rho_curve,
 )
 from grouplim.linconfig import builtin_config, density_brute, dual_constraint_solutions
+from grouplim.spectral import spectrum_array
+import conftest
 from conftest import pgd_serial, project_box_mean_bisect, random_dense
 
 
@@ -266,21 +270,135 @@ def test_chunked_runs_match_one_batch(monkeypatch):
         batches.append(len(starts))
         return _pgd(sols, group, starts, *args)
 
-    # S*k = 33 spectrum values per run: 2 runs per chunk
-    monkeypatch.setattr(extremal, "ROW_CHUNK_ELEMENTS", 70)
+    # room for 2 runs per batch
+    sols = dual_constraint_solutions(cfg, make_group([11]))
+    monkeypatch.setattr(extremal, "CALL_BYTES", 2 * extremal._row_bytes(sols, 11))
     monkeypatch.setattr(extremal, "_pgd", spy)
     chunked = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
     assert batches == [2] * 6
     for a, b in zip(whole, chunked):
         assert a["value"] == pytest.approx(b["value"], abs=1e-12)
         assert a["grad_norm"] == pytest.approx(b["grad_norm"], abs=1e-12)
-    monkeypatch.setattr(extremal, "ROW_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(extremal, "CALL_BYTES", 1)
     res = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
     assert batches[6:] == [1] * 4
     assert res.value == pytest.approx(single.value, abs=1e-12)
     assert [it for it, _ in res.trace] == [it for it, _ in single.trace]
     assert np.allclose([v for _, v in res.trace], [v for _, v in single.trace],
                        rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["ap3", "parallelogram"]),
+    st.sampled_from([[7], [11], [31], [3, 5]]),
+    st.sampled_from([0, 1, 5, 3000]),
+    st.integers(1, 16),
+    st.integers(0, 3),
+    st.integers(0, 2**20),
+    st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]), min_size=1, max_size=3, unique=True),
+)
+def test_ladder_rows_match_serial_runs_within_the_call_bound(name, moduli, max_iter, call_rows,
+                                                              restarts, seed, deltas):
+    G = make_group(moduli)
+    cfg = builtin_config(name)
+    sols = dual_constraint_solutions(cfg, G)
+    row_bytes = extremal._row_bytes(sols, G.order)
+    batches, objective_rows, projected_rows, serial_values = [], [], [], []
+
+    def pgd_spy(sols, group, starts, row_deltas, *args):
+        out = _pgd(sols, group, starts, row_deltas, *args)
+        batches.append((starts, row_deltas, out))
+        return out
+
+    def objective_spy(U, *args):
+        objective_rows.append(len(U))
+        return objective(U, *args)
+
+    def project_spy(V, *args):
+        projected_rows.append(len(V))
+        return project(V, *args)
+
+    def spectrum_spy(f):
+        serial_values[-1] += 1
+        return spectrum_array(f)
+
+    objective, project = extremal._objective, _project_rows
+    with pytest.MonkeyPatch.context() as mp:
+        # the bound leaves room for call_rows rows
+        mp.setattr(extremal, "CALL_BYTES", call_rows * row_bytes)
+        mp.setattr(extremal, "_pgd", pgd_spy)
+        mp.setattr(extremal, "_objective", objective_spy)
+        mp.setattr(extremal, "_project_rows", project_spy)
+        _, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
+        mp.setattr(conftest, "spectrum_array", spectrum_spy)
+        for starts, row_deltas, (F, vals, gnorms, history) in batches:
+            assert len(starts) <= call_rows
+            for i, (start, delta) in enumerate(zip(starts, row_deltas)):
+                serial_values.append(0)
+                f, val, gnorm, trace = pgd_serial(sols, G, start, delta, max_iter, 1e-8)
+                assert vals[i] == val and gnorm == gnorms[i] and np.array_equal(F[i], f)
+                assert _row_trace(history, i) == trace
+                assert history.iterations[i] == len(trace) - 1
+                # the serial run evaluates its start, then each trial step
+                assert history.backtracks[i] == serial_values[-1] - len(trace)
+    # within the bound: a row's footprint covers two projected rows
+    assert max(objective_rows) <= call_rows
+    assert max(projected_rows) <= 2 * call_rows
+    runs = len(deltas) * (restarts + 1)
+    assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == runs
+    assert stats["batches"] == len(batches)
+    assert stats["objective_calls"] == len(objective_rows)
+    assert stats["rows_evaluated"] == sum(objective_rows)
+    # the ladders evaluate every step the serial runs evaluate, and maybe more
+    assert stats["rows_evaluated"] >= sum(serial_values)
+
+
+@pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),
+                                          ([3, 5], "ap3")])
+def test_calls_allocate_within_the_byte_bound(moduli, name):
+    G = make_group(moduli)
+    sols = dual_constraint_solutions(builtin_config(name), G)
+    rows = extremal._call_rows(sols, G.order)
+    bound = rows * extremal._row_bytes(sols, G.order)
+    assert bound <= extremal.CALL_BYTES
+    U = np.random.default_rng(3).random((rows, G.order))
+    for call, args in ((_project_rows, (np.concatenate([U, U]), np.full(2 * rows, 0.4))),
+                       (extremal._objective, (U, sols, G))):
+        call(*args)
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+def test_minimize_stats_record_every_run():
+    res = minimize_density(builtin_config("ap3"), 13, 0.3, restarts=4, seed=2)
+    stats = res.stats
+    assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == 5
+    assert res.grad_norm in stats["grad_norms"]
+    assert len(res.trace) - 1 in stats["iterations"]
+    assert stats["batches"] == 1
+    assert stats["rows_evaluated"] >= sum(1 + i + b for i, b in zip(stats["iterations"],
+                                                                   stats["backtracks"]))
+    assert set(res.to_json()) == {"value", "grad_norm", "restarts_used", "f_star", "trace",
+                                  "bound_kind"}
+
+
+def test_negative_max_iter_or_huge_seed_is_rejected_before_any_work(monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(extremal, "dual_constraint_solutions", fail)
+    cfg = builtin_config("ap3")
+    for kwargs in ({"max_iter": -1}, {"seed": 2**108}):
+        with pytest.raises(ValidationError):
+            minimize_density(cfg, 7, 0.5, **kwargs)
+        with pytest.raises(ValidationError):
+            rho_curve(cfg, 7, [0.0, 0.5], **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -63,6 +63,15 @@ def test_pairwise_table_rejects_unknown_metric():
         pairwise_table(pullback_sequence(), metric="L1")
 
 
+@pytest.mark.parametrize("limits", [{"weight_cap": 0}, {"node_budget": -5},
+                                    {"weight_cap": 0, "node_budget": -5}])
+def test_pairwise_table_rejects_bad_search_limits_even_without_pairs(limits):
+    # a single function has no pair to run a search on
+    for fs in (pullback_sequence()[:1], pullback_sequence()):
+        with pytest.raises(ValidationError):
+            pairwise_table(fs, **limits)
+
+
 def test_pullback_sequence_is_cauchy():
     fs = pullback_sequence()
     table = pairwise_table(fs)
