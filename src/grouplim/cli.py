@@ -232,7 +232,8 @@ def cmd_round(fn_path, seed, best_of, target_density):
 @click.option("--config", "config_spec", required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--delta", type=float, required=True)
-@click.option("--restarts", type=int, default=DEFAULT_RESTARTS, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=0), default=DEFAULT_RESTARTS,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
 @click.option("--unsafe-group", is_flag=True,
@@ -277,7 +278,8 @@ def _delta_grid(spec: str) -> list[float]:
 @click.option("--p", type=int, required=True)
 @click.option("--deltas", default="0.1:0.9:0.1", show_default=True,
               help="grid as start:stop:step in [0, 1] (inclusive)")
-@click.option("--restarts", type=int, default=DEFAULT_RESTARTS, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=0), default=DEFAULT_RESTARTS,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="write CSV here instead of stdout")

@@ -13,6 +13,7 @@ no rate is available, so results are labeled per-p.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .functions import DenseFn
 from .groups import GroupSpec, make_group
 from .linconfig import (ConfigSystem, dual_constraint_solutions, dual_density_and_gradient,
                         dual_gradient)
-from .spectral import spectrum_array
+from .spectral import fft_rows, spectrum_array
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -33,10 +34,15 @@ NONMONOTONE_WINDOW = 10
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
-# bound on the bytes one _project_rows or _objective call allocates: a
-# batch of runs, and the backtracking ladders of its searching rows, take
+# bound on the bytes one _project_rows or _objective call allocates: the
+# pool of runs, and the backtracking ladders of its searching rows, take
 # at most _call_rows rows per call
 CALL_BYTES = 1 << 19
+# most halvings one ladder pass tries per row: a step that fails its first
+# trial has passed 1-3 or 10-19 halvings further down on ap3 over Z_31
+# (seeds 7, 101-103), so one pass settles nearly every row without
+# evaluating up to _call_rows trial steps for a single searching row
+LADDER_DEPTH = 16
 
 
 @dataclass
@@ -48,7 +54,8 @@ class OptResult:
     trace: list[tuple[int, float]] = field(default_factory=list)
     # how the runs went: per run (constant start first) its iterations,
     # rejected Armijo trial steps and final projected-gradient norm; per
-    # call the _pgd batches, _objective calls and rows those evaluated
+    # call the rows of the _pgd pool, _objective calls and rows those
+    # evaluated
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -163,19 +170,11 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _pg_norms(F: np.ndarray, grad: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Norms of the projected gradients F - P(F - grad), row by row."""
-    pg = F - _project_rows(F - grad, deltas)
-    return np.sqrt(_rowdot(pg, pg))
-
-
 def _objective(U: np.ndarray, sols: np.ndarray, group: GroupSpec):
     """Densities (R,) and their gradients (R, N) at the rows of U."""
-    R, n = U.shape
-    axes = tuple(range(1, group.rank + 1))
-    spec = np.fft.fftn(U.astype(np.complex128).reshape((R,) + group.moduli), axes=axes)
-    spec /= n
-    values, grads = dual_density_and_gradient(sols, spec.reshape(R, n), group)
+    spec = fft_rows(U, group)
+    spec /= U.shape[1]
+    values, grads = dual_density_and_gradient(sols, spec, group)
     return values.real, grads
 
 
@@ -192,153 +191,186 @@ def _row_bytes(sols: np.ndarray, n: int) -> int:
 
 
 def _call_rows(sols: np.ndarray, n: int) -> int:
-    """Rows that one _pgd batch, or one ladder pass, may take under
-    CALL_BYTES."""
+    """Rows of the _pgd pool, and of one ladder pass, under CALL_BYTES."""
     return max(1, CALL_BYTES // _row_bytes(sols, n))
 
 
 @dataclass
 class _History:
-    """What one _pgd batch did: the rows still active after each iteration
-    with their values, each row's accepted steps and rejected Armijo trial
-    steps (the count its serial run would reject), and the _objective calls
-    and rows they evaluated."""
+    """What one _pgd pool did: the active runs (in run order) with their
+    values after each pool iteration, and per run the pool iteration it
+    entered at, its accepted steps, its rejected Armijo trial steps (the
+    count its serial run would reject), its final value and projected
+    gradient norm; also the _objective calls and the rows they
+    evaluated."""
     active: list[tuple[np.ndarray, np.ndarray]]
+    entered: np.ndarray
     iterations: np.ndarray
     backtracks: np.ndarray
-    objective_calls: int
-    rows_evaluated: int
+    values: np.ndarray
+    grad_norms: np.ndarray
+    objective_calls: int = 0
+    rows_evaluated: int = 0
 
 
 def _pgd(
     sols: np.ndarray,
     group: GroupSpec,
-    starts: np.ndarray,
+    start: Callable[[int], np.ndarray],
     deltas: np.ndarray,
+    slots: np.ndarray,
     max_iter: int,
     grad_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _History]:
-    """Projected gradient descent from each row of starts (R, N) at the
-    mean given by the same row of deltas (R,), with the rows advanced in
-    lockstep.
+) -> tuple[list[tuple[int, np.ndarray]], _History]:
+    """Projected gradient descent for runs i = 0, 1, ... at the means
+    deltas[i], from the starts start(i), in one pool of _call_rows rows
+    advanced in lockstep.
 
-    Every row runs exactly as it would alone: a spectral (Barzilai-Borwein)
+    Every run goes exactly as it would alone: a spectral (Barzilai-Borwein)
     initial step with its own nonmonotone Armijo safeguard and backtracking
     (a fixed unit step crawls through the flat valleys of this multilinear
     objective), stopping when its projected gradient norm is at most
     grad_tol, its line search fails, or after max_iter steps.  A stopped
-    row leaves the active set.
+    run frees its row, and the next pending run enters it at the next pool
+    iteration; start(i) is called only then.
 
-    An iteration starts with one _project_rows call that gives every row
-    its projected gradient, for the stopping test, and its first trial
-    point.  Rows whose first step fails Armijo then try ladders of the next
-    halvings s/2, s/4, ... down to the 1e-16 floor, as many steps per row
-    as fit in _call_rows rows, one _project_rows and one _objective call
-    per pass: a row that needs ~27 halvings after a SPECTRAL_STEP_MAX step
-    no longer holds the batch for 27 calls.  Each row takes the first step
-    of its ladder that passes Armijo, the step its serial backtracking
-    takes, and rows are computed independently of each other, so each
-    matches its serial run bit for bit.  Returns the final points, their
-    values and projected gradient norms, and the _History (see
-    _row_trace)."""
-    R, n = starts.shape
-    cap = _call_rows(sols, n)
-    F = _project_rows(starts, deltas)
-    vals, grad = _objective(F, sols, group)
-    out_f, out_val, out_gnorm = np.empty_like(F), np.empty(R), np.empty(R)
-    # state of the active rows, indexed like rows
-    rows, dl = np.arange(R), deltas
-    history = _History([(rows, vals)], np.zeros(R, dtype=np.int64),
-                       np.zeros(R, dtype=np.int64), objective_calls=1, rows_evaluated=R)
-    init_step = np.full(R, ARMIJO_INIT_STEP)
-    recent = np.full((R, NONMONOTONE_WINDOW), -np.inf)
-    recent[:, 0] = vals
+    A pool iteration starts with one _project_rows call that gives every
+    active row its projected gradient, for the stopping test, and its first
+    trial point, and projects the starts of the entering runs.  One
+    _objective call evaluates the first trials and the entering starts
+    together.  Rows whose first trial fails Armijo then try ladders of the
+    next halvings s/2, s/4, ... down to the 1e-16 floor, up to LADDER_DEPTH
+    steps per row as fit in the pool, one _project_rows and one _objective
+    call per pass: a row that needs many halvings does not hold the pool
+    for as many calls.  Each row takes the first step of its ladder that
+    passes Armijo, the step its serial backtracking takes, and rows are
+    computed independently of each other, so each run matches its serial
+    run bit for bit.
 
-    def finish(mask, gnorm):
-        out_f[rows[mask]] = F[mask]
-        out_val[rows[mask]] = vals[mask]
-        out_gnorm[rows[mask]] = gnorm[mask]
-
-    for it in range(1, max_iter + 1):
-        m = len(rows)
-        step = init_step.copy()
-        # one projection gives the projected gradients and the first trial
-        # points, the ladders of depth 1 of the first pass (init_step is at
-        # least SPECTRAL_STEP_MIN, so every row tries its first step)
-        proj = _project_rows(np.concatenate([F - grad, F - step[:, None] * grad]),
-                             np.concatenate([dl, dl]))
+    Run i competes for slots[i]; returns, per slot in order, its best run
+    (least value, ties to the lower run) and that run's final point, the
+    only point kept, and the _History (see _row_trace)."""
+    runs, n = len(deltas), group.order
+    width = _call_rows(sols, n)
+    h = _History([], np.zeros(runs, dtype=np.int64), np.zeros(runs, dtype=np.int64),
+                 np.zeros(runs, dtype=np.int64), np.empty(runs), np.empty(runs))
+    best: dict[int, tuple[int, np.ndarray]] = {}
+    # state of the active rows in run order: runs enter in order and are
+    # appended, stopped rows are dropped
+    rows = np.zeros(0, dtype=np.int64)
+    dl, vals, init_step = np.zeros(0), np.zeros(0), np.zeros(0)
+    F = grad = np.zeros((0, n))
+    recent = np.zeros((0, NONMONOTONE_WINDOW))
+    pending, t = 0, 0
+    while rows.size or pending < runs:
+        m = rows.size
+        new = np.arange(pending, min(runs, pending + width - m))
+        pending += new.size
+        parts = [F - grad, F - init_step[:, None] * grad]
+        if new.size:
+            parts.append(np.stack([start(i) for i in new.tolist()]))
+        proj = _project_rows(np.concatenate(parts), np.concatenate([dl, dl, deltas[new]]))
         pg = F - proj[:m]
         pg = np.sqrt(_rowdot(pg, pg))
-        searching = np.flatnonzero(pg > grad_tol)
-        c, depth = proj[m + searching], 1
-        reference = recent.max(axis=1)
+        # a run that entered at pool iteration e takes its step t - e here
+        searching = np.flatnonzero((pg > grad_tol) & (t - h.entered[rows] <= max_iter))
         accepted = np.zeros(m, dtype=bool)
         cand, cvals, cgrad = np.empty_like(F), np.empty(m), np.empty_like(F)
+        if searching.size or new.size:
+            # the first trials and the entering starts, in one call
+            c = proj[np.concatenate([m + searching, np.arange(2 * m, len(proj))])]
+            cv, cg = _objective(c, sols, group)
+            h.objective_calls += 1
+            h.rows_evaluated += len(c)
+            s = searching.size
+            reference = recent.max(axis=1)
+            ok = cv[:s] <= reference[searching] + ARMIJO_C * _rowdot(
+                grad[searching], c[:s] - F[searching])
+            hit = searching[ok]
+            accepted[hit] = True
+            cand[hit], cvals[hit], cgrad[hit] = c[:s][ok], cv[:s][ok], cg[:s][ok]
+            searching = searching[~ok]
+            h.backtracks[rows[searching]] += 1
+            step = init_step[searching] * ARMIJO_SHRINK
+            searching, step = searching[step > 1e-16], step[step > 1e-16]
         while searching.size:
             # ladder[i, j] = step * ARMIJO_SHRINK**j by repeated products,
             # as the serial halvings compute it; column depth starts the
             # next pass
+            depth = max(1, min(LADDER_DEPTH, width // searching.size))
             ladder = np.full((searching.size, depth + 1), ARMIJO_SHRINK)
-            ladder[:, 0] = step[searching]
+            ladder[:, 0] = step
             ladder = np.multiply.accumulate(ladder, axis=1)
             tried = ladder[:, :depth] > 1e-16
             li, lj = np.nonzero(tried)
             r = searching[li]
             f, g = F[r], grad[r]
-            if c is None:
-                c = _project_rows(f - ladder[li, lj, None] * g, dl[r])
-            cv, cg = _objective(c, sols, group)
-            history.objective_calls += 1
-            history.rows_evaluated += li.size
+            lc = _project_rows(f - ladder[li, lj, None] * g, dl[r])
+            lv, lg = _objective(lc, sols, group)
+            h.objective_calls += 1
+            h.rows_evaluated += li.size
             ok = np.zeros_like(tried)
-            ok[li, lj] = cv <= reference[r] + ARMIJO_C * _rowdot(g, c - f)
+            ok[li, lj] = lv <= reference[r] + ARMIJO_C * _rowdot(g, lc - f)
             first = ok.argmax(axis=1)
             found = ok[np.arange(searching.size), first]
             n_tried = tried.sum(axis=1)
-            # the trials of row i start at position n_tried[:i].sum() of c
+            # the trials of row i start at position n_tried[:i].sum() of lc
             at = (np.cumsum(n_tried) - n_tried + first)[found]
             hit = searching[found]
             accepted[hit] = True
-            cand[hit], cvals[hit], cgrad[hit] = c[at], cv[at], cg[at]
-            history.backtracks[rows[searching]] += np.where(found, first, n_tried)
-            step[searching] = ladder[:, depth]
-            searching = searching[~found]
-            searching = searching[step[searching] > 1e-16]
-            c, depth = None, max(1, cap // max(searching.size, 1))
+            cand[hit], cvals[hit], cgrad[hit] = lc[at], lv[at], lg[at]
+            h.backtracks[rows[searching]] += np.where(found, first, n_tried)
+            step, searching = ladder[~found, depth], searching[~found]
+            searching, step = searching[step > 1e-16], step[step > 1e-16]
         if not accepted.all():
-            finish(~accepted, pg)
+            stopped = np.flatnonzero(~accepted)
+            done = rows[stopped]
+            h.values[done], h.grad_norms[done] = vals[stopped], pg[stopped]
+            h.iterations[done] = t - 1 - h.entered[done]
+            for j, run in zip(stopped.tolist(), done.tolist()):
+                slot = int(slots[run])
+                if slot not in best or (h.values[run], run) < (h.values[best[slot][0]],
+                                                               best[slot][0]):
+                    best[slot] = (run, F[j].copy())
             rows, dl, F, grad = rows[accepted], dl[accepted], F[accepted], grad[accepted]
             init_step, recent = init_step[accepted], recent[accepted]
             cand, cvals, cgrad = cand[accepted], cvals[accepted], cgrad[accepted]
-        if not rows.size:
-            break
-        s = cand - F
-        sy = _rowdot(s, cgrad - grad)
-        # negative curvature along s: take the longest allowed step
-        init_step = np.where(
-            sy > 0.0,
-            np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
-                    SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
-            SPECTRAL_STEP_MAX,
-        )
+        if rows.size:
+            s = cand - F
+            sy = _rowdot(s, cgrad - grad)
+            # negative curvature along s: take the longest allowed step
+            init_step = np.where(
+                sy > 0.0,
+                np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
+                        SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
+                SPECTRAL_STEP_MAX,
+            )
+            # a run's last values may sit in any columns of the window, as
+            # only their maximum is used
+            recent[:, t % NONMONOTONE_WINDOW] = cvals
         F, vals, grad = cand, cvals, cgrad
-        recent[:, it % NONMONOTONE_WINDOW] = vals
-        history.iterations[rows] += 1
-        history.active.append((rows, vals))
-    else:
-        finish(np.ones(len(rows), dtype=bool), _pg_norms(F, grad, dl))
-    return out_f, out_val, out_gnorm, history
+        if new.size:
+            first_new = len(c) - new.size
+            fresh = np.full((new.size, NONMONOTONE_WINDOW), -np.inf)
+            fresh[:, t % NONMONOTONE_WINDOW] = cv[first_new:]
+            rows, dl = np.concatenate([rows, new]), np.concatenate([dl, deltas[new]])
+            F = np.concatenate([F, c[first_new:]])
+            vals = np.concatenate([vals, cv[first_new:]])
+            grad = np.concatenate([grad, cg[first_new:]])
+            init_step = np.concatenate([init_step, np.full(new.size, ARMIJO_INIT_STEP)])
+            recent = np.concatenate([recent, fresh])
+            h.entered[new] = t
+        h.active.append((rows, vals))
+        t += 1
+    return [best[slot] for slot in sorted(best)], h
 
 
-def _row_trace(history: _History, row: int) -> list[tuple[int, float]]:
-    """The (iteration, value) trace of one row of a _pgd run."""
-    trace = []
-    for it, (rows, vals) in enumerate(history.active):
-        j = int(np.searchsorted(rows, row))
-        if j == len(rows) or rows[j] != row:
-            break
-        trace.append((it, float(vals[j])))
-    return trace
+def _row_trace(history: _History, run: int) -> list[tuple[int, float]]:
+    """The (iteration, value) trace of one run of a _pgd pool."""
+    first = int(history.entered[run])
+    return [(k, float(vals[np.searchsorted(rows, run)]))
+            for k, (rows, vals) in enumerate(
+                history.active[first:first + int(history.iterations[run]) + 1])]
 
 
 def _minimize_grid(
@@ -352,40 +384,37 @@ def _minimize_grid(
 ) -> tuple[list[tuple[np.ndarray, float, float, list[tuple[int, float]]]], dict]:
     """Best of restarts + 1 PGD runs for each delta: the constant start f =
     delta, then restart r from an RNG stream keyed by (seed, r).  All runs
-    of all deltas go through _pgd together, in batches of at most
-    _call_rows rows, so that no call of a batch allocates more than about
-    CALL_BYTES; the best final value wins, ties broken by restart index.
-    Also returns the stats of OptResult, with each per-run list holding
-    the runs of every delta in turn."""
+    of all deltas share one _pgd pool, so that no call allocates more than
+    about CALL_BYTES; the best final value wins, ties broken by restart
+    index.  Also returns the stats of OptResult, with each per-run list
+    holding the runs of every delta in turn."""
     sols = dual_constraint_solutions(config, group)
     n = group.order
     runs = max(restarts, 0) + 1
-    chunk = _call_rows(sols, n)
-    best: list = [None] * len(deltas)
-    stats = {"iterations": [], "backtracks": [], "grad_norms": [], "batches": 0,
-             "objective_calls": 0, "rows_evaluated": 0}
-    for lo in range(0, len(deltas) * runs, chunk):
-        cells = [divmod(i, runs) for i in range(lo, min(lo + chunk, len(deltas) * runs))]
-        randoms = {r: np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
-                   for r in {r for _, r in cells if r > 0}}
-        starts = np.stack([randoms[r] if r else np.full(n, deltas[d]) for d, r in cells])
-        chunk_deltas = np.array([deltas[d] for d, _ in cells])
-        F, vals, gnorms, history = _pgd(sols, group, starts, chunk_deltas, max_iter, grad_tol)
-        for i, (d, _) in enumerate(cells):
-            if best[d] is None or vals[i] < best[d][1]:
-                best[d] = (F[i].copy(), float(vals[i]), float(gnorms[i]), history, i)
-        stats["iterations"] += history.iterations.tolist()
-        stats["backtracks"] += history.backtracks.tolist()
-        stats["grad_norms"] += gnorms.tolist()
-        stats["batches"] += 1
-        stats["objective_calls"] += history.objective_calls
-        stats["rows_evaluated"] += history.rows_evaluated
-    return [(f, val, gnorm, _row_trace(history, i)) for f, val, gnorm, history, i in best], stats
+
+    def start(i):
+        d, r = divmod(i, runs)
+        if not r:
+            return np.full(n, deltas[d])
+        return np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
+
+    run_deltas = np.repeat(np.asarray(deltas, dtype=np.float64), runs)
+    best, h = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) // runs,
+                   max_iter, grad_tol)
+    stats = {"iterations": h.iterations.tolist(), "backtracks": h.backtracks.tolist(),
+             "grad_norms": h.grad_norms.tolist(), "pool_rows": _call_rows(sols, n),
+             "objective_calls": h.objective_calls, "rows_evaluated": h.rows_evaluated}
+    return [(f, float(h.values[i]), float(h.grad_norms[i]), _row_trace(h, i))
+            for i, f in best], stats
 
 
-def _check_inputs(p: int, seed: int, max_iter: int, unsafe_group: bool, deltas) -> None:
-    # restart r draws from the Philox key seed * 2**20 + r - 1
+def _check_inputs(p: int, seed: int, restarts: int, max_iter: int, unsafe_group: bool,
+                  deltas) -> None:
+    # restart r draws from the Philox key seed * 2**20 + r - 1, so keys of
+    # different seeds stay apart, and below 2**128, for r <= 2**20
     check_seed(seed, bits=108)
+    if restarts > 1 << 20:
+        raise ValidationError(f"restarts must be at most 2**20, got {restarts}")
     if max_iter < 0:
         raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
     if not unsafe_group and not is_prime(p):
@@ -417,7 +446,7 @@ def minimize_density(
     (seed, r), the constant function f = delta is always tried, and the
     best final value wins (ties broken by restart index).  All restarts run
     in lockstep."""
-    _check_inputs(p, seed, max_iter, unsafe_group or group is not None, [delta])
+    _check_inputs(p, seed, restarts, max_iter, unsafe_group or group is not None, [delta])
     if group is None:
         group = make_group([p])
     [(f, val, gnorm, trace)], stats = _minimize_grid(config, group, [delta], restarts, seed,
@@ -448,7 +477,7 @@ def rho_curve(
     monotone flag: the true curve is nondecreasing in delta, so a decrease
     marks a restart that missed the basin."""
     deltas = [float(d) for d in deltas]
-    _check_inputs(p, seed, max_iter, unsafe_group, deltas)
+    _check_inputs(p, seed, restarts, max_iter, unsafe_group, deltas)
     group = make_group([p])
     interior = [d for d in deltas if 0.0 < d < 1.0]
     results = iter(_minimize_grid(config, group, interior, restarts, seed, max_iter,

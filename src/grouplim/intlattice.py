@@ -116,19 +116,42 @@ def relations_match(
     return True
 
 
+def _lattice_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:
+    """Basis of the lattice {r in Z^k : (rows) r = 0 mod m}: the
+    projections of the integer kernel of [rows | m*I], k vectors."""
+    full_rows = [list(row) + [m if j == i else 0 for j in range(len(rows))]
+                 for i, row in enumerate(rows)]
+    return [vec[:k] for vec in integer_kernel(full_rows, k + len(rows))]
+
+
+def _determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free
+    Bareiss elimination)."""
+    a = [list(row) for row in matrix]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot], sign = a[pivot], a[c], -sign
+        for r in range(c + 1, n):
+            for j in range(c + 1, n):
+                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if n else 1
+
+
+def kernel_mod_m_size(rows: Sequence[Sequence[int]], k: int, m: int) -> int:
+    """len(kernel_mod_m(rows, k, m)) without the enumeration: the solutions
+    are L / mZ^k for the solution lattice L, so there are m^k / |det L|."""
+    return m**k // abs(_determinant(_lattice_mod_m(rows, k, m)))
+
+
 def kernel_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> list[tuple[int, ...]]:
     """All solutions r in (Z_m)^k of (rows) r = 0 mod m, enumerated as the
-    subgroup generated by the projections of the integer kernel of
-    [rows | m*I]."""
-    nrows = len(rows)
-    full_rows = []
-    for i in range(nrows):
-        aux = [0] * nrows
-        aux[i] = m
-        full_rows.append(list(rows[i]) + aux)
-    kernel = integer_kernel(full_rows, k + nrows)
-    gens = {tuple(v % m for v in vec[:k]) for vec in kernel}
-    gens.add((m * 0,) * k)
+    subgroup generated by the basis of the solution lattice mod m."""
+    gens = {tuple(v % m for v in vec) for vec in _lattice_mod_m(rows, k, m)}
     # subgroup closure by breadth-first span
     seen = {(0,) * k}
     frontier = [(0,) * k]

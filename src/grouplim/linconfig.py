@@ -26,8 +26,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec
-from .intlattice import integer_kernel, kernel_mod_m
-from .spectral import spectrum_array
+from .intlattice import integer_kernel, kernel_mod_m, kernel_mod_m_size
+from .spectral import fft_rows, spectrum_array
 
 DENSITY_BUDGET = 10**8
 CHUNK = 1 << 16
@@ -202,15 +202,13 @@ def dual_constraint_solutions(
         raise ValidationError("density evaluation needs a finite group")
     k = config.size
     lam_t = [list(col) for col in zip(*config.matrix())]
+    # counted before any factor is enumerated
+    total = math.prod(kernel_mod_m_size(lam_t, k, m) for m in group.moduli)
+    if total > budget:
+        raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}")
     per_coord = []
-    total = 1
     for c, m in enumerate(group.moduli):
         sols = np.array(kernel_mod_m(lam_t, k, m), dtype=np.int64)
-        total *= len(sols)
-        if total > budget:
-            raise BudgetError(
-                f"dual constraint lattice has {total}+ points, over budget {budget}"
-            )
         shape = [1] * group.rank + [k]
         shape[c] = len(sols)
         per_coord.append(sols.reshape(shape))
@@ -231,7 +229,7 @@ def dual_density_and_gradient(
     where G(r) sums, over forms j and solutions with r_j = r, the product
     of the other forms' spectrum values.  Prefix and suffix products along
     the form axis give these leave-one-out products for every j; one
-    bincount with row offsets and one FFT over the group axes finish all
+    bincount with row offsets and one FFT per group axis finish all
     rows.  Memory is O(R*S*k): callers bound R."""
     R, N = spec.shape
     k = sols.shape[1]
@@ -255,8 +253,7 @@ def dual_density_and_gradient(
     del suffix  # freed before the bincounts copy out their weights
     flat, loo = idx.ravel(), loo.ravel()
     G = np.bincount(flat, loo.real, R * N) + 1j * np.bincount(flat, loo.imag, R * N)
-    axes = tuple(range(1, group.rank + 1))
-    grads = np.fft.fftn(G.reshape((R,) + group.moduli), axes=axes).real.reshape(R, N) / N
+    grads = fft_rows(G.reshape(R, N), group).real / N
     return densities, grads
 
 

@@ -28,6 +28,17 @@ def spectrum_array(f: DenseFn) -> np.ndarray:
     return (np.fft.fftn(grid) / f.group.order).reshape(-1)
 
 
+def fft_rows(X: np.ndarray, group: GroupSpec) -> np.ndarray:
+    """Unnormalized transform over the group of each row of the (R, N)
+    array X, as an (R, N) array: one np.fft.fft per group axis, last axis
+    first as np.fft.fftn takes them, so the result equals fftn's bit for
+    bit without its wrapper or a complex copy of a real X."""
+    out = X.reshape((len(X),) + group.moduli)
+    for axis in range(group.rank, 0, -1):
+        out = np.fft.fft(out, axis=axis)
+    return out.reshape(len(X), -1)
+
+
 def dft(f: DenseFn) -> SparseFn:
     """Fourier transform; entries below 1e-14 in magnitude are dropped and
     the full l2 mass is preserved in declared_l2 for Parseval accounting."""

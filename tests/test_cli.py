@@ -118,9 +118,26 @@ def test_minimize_reports_run_stats_in_meta(capsys):
     stats = meta["stats"]
     assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == 3
     assert payload["grad_norm"] in stats["grad_norms"]
-    assert stats["batches"] >= 1 and stats["objective_calls"] >= 1
+    assert stats["pool_rows"] >= 1 and stats["objective_calls"] >= 1
     assert stats["rows_evaluated"] >= 3
     assert "stats" not in payload
+
+
+@pytest.mark.parametrize("argv", [["minimize", "--delta", "0.5"], ["rho-curve"]])
+def test_huge_p_exits_2_before_enumerating_the_dual_lattice(capsys, argv):
+    code = main(argv + ["--config", "ap3", "--p", "2305843009213693951"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "2305843009213693951 points, over budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["minimize", "--delta", "0.5", "--restarts", "-3"],
+                                  ["rho-curve", "--restarts", "-2"]])
+def test_negative_restarts_exit_1(capsys, argv):
+    code = main(argv + ["--config", "ap3", "--p", "7"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "--restarts" in captured.err
 
 
 def test_minimize_rejects_negative_max_iter(capsys):

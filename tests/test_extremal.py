@@ -212,6 +212,15 @@ def _starts(n, deltas, restarts, seed):
             np.repeat(deltas, restarts + 1))
 
 
+def _pool(sols, G, starts, row_deltas, max_iter):
+    """One _pgd pool over the given starts, each run keeping its point:
+    final points, values, grad norms and the _History."""
+    best, history = _pgd(sols, G, starts.__getitem__, row_deltas, np.arange(len(starts)),
+                         max_iter, 1e-8)
+    assert [run for run, _ in best] == list(range(len(starts)))
+    return np.stack([f for _, f in best]), history.values, history.grad_norms, history
+
+
 @pytest.mark.parametrize("moduli, name, deltas, restarts", [
     ([31], "ap3", [round(0.1 * i, 1) for i in range(1, 10)], 16),
     ([401], "ap3", [0.5], 4),
@@ -223,7 +232,7 @@ def test_lockstep_rows_match_serial_runs(moduli, name, deltas, restarts):
     G = make_group(moduli)
     sols = dual_constraint_solutions(builtin_config(name), G)
     starts, row_deltas = _starts(G.order, deltas, restarts, seed=7)
-    F, vals, gnorms, history = _pgd(sols, G, starts, row_deltas, 3000, 1e-8)
+    F, vals, gnorms, history = _pool(sols, G, starts, row_deltas, 3000)
     for i, (start, delta) in enumerate(zip(starts, row_deltas)):
         f, val, gnorm, trace = pgd_serial(sols, G, start, delta, 3000, 1e-8)
         assert vals[i] == pytest.approx(val, abs=1e-12)
@@ -238,7 +247,7 @@ def test_lockstep_row_stops_at_max_iter():
     sols = dual_constraint_solutions(builtin_config("ap3"), G)
     starts, row_deltas = _starts(G.order, [0.3, 0.6], 3, seed=2)
     for max_iter in (0, 1, 5):
-        F, vals, gnorms, history = _pgd(sols, G, starts, row_deltas, max_iter, 1e-8)
+        F, vals, gnorms, history = _pool(sols, G, starts, row_deltas, max_iter)
         for i, (start, delta) in enumerate(zip(starts, row_deltas)):
             f, val, gnorm, trace = pgd_serial(sols, G, start, delta, max_iter, 1e-8)
             assert vals[i] == pytest.approx(val, abs=1e-12)
@@ -264,32 +273,66 @@ def test_chunked_runs_match_one_batch(monkeypatch):
     deltas = [0.25, 0.5, 0.75]
     whole = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
     single = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
-    batches = []
+    pools = []
 
-    def spy(sols, group, starts, *args):
-        batches.append(len(starts))
-        return _pgd(sols, group, starts, *args)
+    def spy(*args):
+        out = _pgd(*args)
+        pools.append(out[1])
+        return out
 
-    # room for 2 runs per batch
+    def widest(history):
+        return max(len(rows) for rows, _ in history.active)
+
+    # a pool of 2 rows
     sols = dual_constraint_solutions(cfg, make_group([11]))
     monkeypatch.setattr(extremal, "CALL_BYTES", 2 * extremal._row_bytes(sols, 11))
     monkeypatch.setattr(extremal, "_pgd", spy)
     chunked = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
-    assert batches == [2] * 6
+    assert len(pools) == 1 and len(pools[0].values) == 12 and widest(pools[0]) == 2
     for a, b in zip(whole, chunked):
         assert a["value"] == pytest.approx(b["value"], abs=1e-12)
         assert a["grad_norm"] == pytest.approx(b["grad_norm"], abs=1e-12)
     monkeypatch.setattr(extremal, "CALL_BYTES", 1)
     res = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
-    assert batches[6:] == [1] * 4
+    assert len(pools) == 2 and len(pools[1].values) == 4 and widest(pools[1]) == 1
+    assert res.stats["pool_rows"] == 1
     assert res.value == pytest.approx(single.value, abs=1e-12)
     assert [it for it, _ in res.trace] == [it for it, _ in single.trace]
     assert np.allclose([v for _, v in res.trace], [v for _, v in single.trace],
                        rtol=0, atol=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+def _call_spies(mp, objective_inputs, projected_rows):
+    """Record what every _objective call evaluates and how many rows every
+    _project_rows call projects."""
+    objective, project = extremal._objective, _project_rows
+
+    def objective_spy(U, *args):
+        objective_inputs.append(U.copy())
+        return objective(U, *args)
+
+    def project_spy(V, *args):
+        projected_rows.append(len(V))
+        return project(V, *args)
+
+    mp.setattr(extremal, "_objective", objective_spy)
+    mp.setattr(extremal, "_project_rows", project_spy)
+
+
+def _serial_counting_trials(mp, sols, G, start, delta, max_iter):
+    """pgd_serial's run, and the values it evaluates: its start, then each
+    trial step."""
+    count = [0]
+
+    def spectrum_spy(f):
+        count[0] += 1
+        return spectrum_array(f)
+
+    mp.setattr(conftest, "spectrum_array", spectrum_spy)
+    return pgd_serial(sols, G, start, delta, max_iter, 1e-8), count[0]
+
+
+_POOL_CASES = (
     st.sampled_from(["ap3", "parallelogram"]),
     st.sampled_from([[7], [11], [31], [3, 5]]),
     st.sampled_from([0, 1, 5, 3000]),
@@ -298,60 +341,111 @@ def test_chunked_runs_match_one_batch(monkeypatch):
     st.integers(0, 2**20),
     st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]), min_size=1, max_size=3, unique=True),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_POOL_CASES)
 def test_ladder_rows_match_serial_runs_within_the_call_bound(name, moduli, max_iter, call_rows,
                                                               restarts, seed, deltas):
     G = make_group(moduli)
     cfg = builtin_config(name)
     sols = dual_constraint_solutions(cfg, G)
     row_bytes = extremal._row_bytes(sols, G.order)
-    batches, objective_rows, projected_rows, serial_values = [], [], [], []
+    pools, objective_inputs, projected_rows, serial_values = [], [], [], []
 
-    def pgd_spy(sols, group, starts, row_deltas, *args):
-        out = _pgd(sols, group, starts, row_deltas, *args)
-        batches.append((starts, row_deltas, out))
+    def pgd_spy(sols, group, start, row_deltas, *args):
+        starts = []
+
+        def start_spy(i):
+            starts.append(start(i))
+            return starts[-1]
+
+        out = _pgd(sols, group, start_spy, row_deltas, *args)
+        pools.append((starts, row_deltas, out))
         return out
 
-    def objective_spy(U, *args):
-        objective_rows.append(len(U))
-        return objective(U, *args)
-
-    def project_spy(V, *args):
-        projected_rows.append(len(V))
-        return project(V, *args)
-
-    def spectrum_spy(f):
-        serial_values[-1] += 1
-        return spectrum_array(f)
-
-    objective, project = extremal._objective, _project_rows
     with pytest.MonkeyPatch.context() as mp:
-        # the bound leaves room for call_rows rows
+        # the pool has call_rows rows
         mp.setattr(extremal, "CALL_BYTES", call_rows * row_bytes)
         mp.setattr(extremal, "_pgd", pgd_spy)
-        mp.setattr(extremal, "_objective", objective_spy)
-        mp.setattr(extremal, "_project_rows", project_spy)
-        _, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
-        mp.setattr(conftest, "spectrum_array", spectrum_spy)
-        for starts, row_deltas, (F, vals, gnorms, history) in batches:
-            assert len(starts) <= call_rows
-            for i, (start, delta) in enumerate(zip(starts, row_deltas)):
-                serial_values.append(0)
-                f, val, gnorm, trace = pgd_serial(sols, G, start, delta, max_iter, 1e-8)
-                assert vals[i] == val and gnorm == gnorms[i] and np.array_equal(F[i], f)
-                assert _row_trace(history, i) == trace
-                assert history.iterations[i] == len(trace) - 1
-                # the serial run evaluates its start, then each trial step
-                assert history.backtracks[i] == serial_values[-1] - len(trace)
+        _call_spies(mp, objective_inputs, projected_rows)
+        results, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
+        [(starts, row_deltas, (best, history))] = pools
+        for i, (start, delta) in enumerate(zip(starts, row_deltas)):
+            (f, val, gnorm, trace), n_values = _serial_counting_trials(mp, sols, G, start, delta,
+                                                                       max_iter)
+            serial_values.append(n_values)
+            assert history.values[i] == val and history.grad_norms[i] == gnorm
+            assert _row_trace(history, i) == trace
+            assert history.iterations[i] == len(trace) - 1
+            # the serial run evaluates its start, then each trial step
+            assert history.backtracks[i] == n_values - len(trace)
+            if i in [run for run, _ in best]:
+                assert np.array_equal(dict(best)[i], f)
+    # the best run of each delta, its point and its trace
+    runs = restarts + 1
+    for d, (f, val, gnorm, trace) in enumerate(results):
+        run = min(range(d * runs, (d + 1) * runs), key=lambda i: (history.values[i], i))
+        assert best[d][0] == run and np.array_equal(best[d][1], f)
+        assert (val, gnorm, trace) == (history.values[run], history.grad_norms[run],
+                                       _row_trace(history, run))
     # within the bound: a row's footprint covers two projected rows
+    objective_rows = [len(U) for U in objective_inputs]
     assert max(objective_rows) <= call_rows
     assert max(projected_rows) <= 2 * call_rows
-    runs = len(deltas) * (restarts + 1)
-    assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == runs
-    assert stats["batches"] == len(batches)
+    assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) \
+        == len(deltas) * runs
+    assert stats["pool_rows"] == call_rows
     assert stats["objective_calls"] == len(objective_rows)
     assert stats["rows_evaluated"] == sum(objective_rows)
     # the ladders evaluate every step the serial runs evaluate, and maybe more
     assert stats["rows_evaluated"] >= sum(serial_values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_POOL_CASES)
+def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_iter, call_rows,
+                                                            restarts, seed, deltas):
+    G = make_group(moduli)
+    sols = dual_constraint_solutions(builtin_config(name), G)
+    starts, row_deltas = _starts(G.order, deltas, restarts, seed)
+    runs = len(starts)
+    objective_inputs, projected_rows, drawn_before = [], [], []
+
+    def start(i):
+        # a start is drawn once, in run order, with the objective calls
+        # made so far noted
+        assert i == len(drawn_before)
+        drawn_before.append(len(objective_inputs))
+        return starts[i]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "CALL_BYTES", call_rows * extremal._row_bytes(sols, G.order))
+        _call_spies(mp, objective_inputs, projected_rows)
+        best, history = _pgd(sols, G, start, row_deltas, np.arange(runs), max_iter, 1e-8)
+        assert [run for run, _ in best] == list(range(runs))
+        for i in range(runs):
+            (f, val, gnorm, trace), n_values = _serial_counting_trials(
+                mp, sols, G, starts[i], row_deltas[i], max_iter)
+            assert history.values[i] == val and history.grad_norms[i] == gnorm
+            assert np.array_equal(best[i][1], f)
+            assert _row_trace(history, i) == trace
+            assert history.iterations[i] == len(trace) - 1
+            assert history.backtracks[i] == n_values - len(trace)
+    assert max(len(U) for U in objective_inputs) <= call_rows
+    assert max(projected_rows) <= 2 * call_rows
+    # each start is drawn in the pool iteration its run enters: the next
+    # _objective call evaluates it, and the pool is full before any stop
+    for i, q in enumerate(drawn_before):
+        projected = project_box_mean(starts[i], row_deltas[i])
+        assert (objective_inputs[q] == projected).all(axis=1).any()
+    assert drawn_before.count(0) == min(runs, call_rows)
+    stopped_at = history.entered + history.iterations + 1
+    if runs > call_rows:
+        # some run enters after another has stopped
+        assert history.entered.max() >= stopped_at.min()
+    else:
+        assert not history.entered.any()
 
 
 @pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),
@@ -381,7 +475,8 @@ def test_minimize_stats_record_every_run():
     assert len(stats["iterations"]) == len(stats["backtracks"]) == len(stats["grad_norms"]) == 5
     assert res.grad_norm in stats["grad_norms"]
     assert len(res.trace) - 1 in stats["iterations"]
-    assert stats["batches"] == 1
+    sols = dual_constraint_solutions(builtin_config("ap3"), make_group([13]))
+    assert stats["pool_rows"] == extremal._call_rows(sols, 13)
     assert stats["rows_evaluated"] >= sum(1 + i + b for i, b in zip(stats["iterations"],
                                                                    stats["backtracks"]))
     assert set(res.to_json()) == {"value", "grad_norm", "restarts_used", "f_star", "trace",
@@ -394,7 +489,7 @@ def test_negative_max_iter_or_huge_seed_is_rejected_before_any_work(monkeypatch)
 
     monkeypatch.setattr(extremal, "dual_constraint_solutions", fail)
     cfg = builtin_config("ap3")
-    for kwargs in ({"max_iter": -1}, {"seed": 2**108}):
+    for kwargs in ({"max_iter": -1}, {"seed": 2**108}, {"restarts": 2**20 + 1}):
         with pytest.raises(ValidationError):
             minimize_density(cfg, 7, 0.5, **kwargs)
         with pytest.raises(ValidationError):

@@ -1,9 +1,13 @@
 """Linear configurations and their density routes."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grouplim import DenseFn, constant_fn, indicator_fn, make_group
+from grouplim import DenseFn, constant_fn, indicator_fn, linconfig, make_group
 from grouplim.errors import BudgetError, ValidationError
+from grouplim.intlattice import kernel_mod_m, kernel_mod_m_size
 from grouplim.linconfig import (
     ConfigSystem,
     builtin_config,
@@ -175,6 +179,43 @@ def test_brute_budget_guard():
     cfg = graph_config([(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(BudgetError):
         density_brute(cfg, constant_fn(G, 0.5), budget=1000)
+
+
+def _complete_graph(n):
+    return builtin_config("graph:" + ",".join(f"{i}-{j}" for i in range(n)
+                                              for j in range(i + 1, n)))
+
+
+@pytest.mark.parametrize("cfg, top", [(builtin_config("ap3"), 30),
+                                      (builtin_config("parallelogram"), 30),
+                                      (_complete_graph(4), 30),
+                                      # K5 has 2m^5 solutions mod even m
+                                      (_complete_graph(5), 8)])
+def test_kernel_count_matches_the_enumeration(cfg, top):
+    lam_t = [list(col) for col in zip(*cfg.matrix())]
+    for m in range(1, top + 1):
+        assert kernel_mod_m_size(lam_t, cfg.size, m) == len(kernel_mod_m(lam_t, cfg.size, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k), max_size=3))),
+    st.integers(1, 12))
+def test_kernel_count_matches_brute_force_on_small_systems(system, m):
+    k, rows = system
+    brute = sum(all(sum(a * x for a, x in zip(row, r)) % m == 0 for row in rows)
+                for r in itertools.product(range(m), repeat=k))
+    assert kernel_mod_m_size(rows, k, m) == brute == len(kernel_mod_m(rows, k, m))
+
+
+def test_dual_lattice_over_budget_raises_before_enumerating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("enumerated a solution group")
+
+    monkeypatch.setattr(linconfig, "kernel_mod_m", fail)
+    for p in (2**61 - 1, 10**4 + 7):
+        with pytest.raises(BudgetError, match=f"has {p} points"):
+            dual_constraint_solutions(builtin_config("ap3"), make_group([p]), budget=10**4)
 
 
 def test_cs_complexity_classifications():
