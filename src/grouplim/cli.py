@@ -49,12 +49,17 @@ def _reject_constant(name: str):
     raise ValidationError(f"non-finite number {name} is not valid JSON")
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise ValidationError(f"file not found: {path}")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {path}: {e}")
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return json.loads(_read_text(path), parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON in {path}: {e}")
 
@@ -92,15 +97,14 @@ def _complex_json(z: complex):
 def _read_config_file(path: str) -> dict:
     """TOML-style key=value lines used as argument defaults for batch runs."""
     defaults = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad line in config file: '{line}'")
-            key, val = line.split("=", 1)
-            defaults[key.strip().replace("_", "-")] = val.strip().strip("\"'")
+    for line in _read_text(path).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad line in config file: '{line}'")
+        key, val = line.split("=", 1)
+        defaults[key.strip().replace("_", "-")] = val.strip().strip("\"'")
     return defaults
 
 

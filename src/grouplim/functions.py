@@ -55,6 +55,8 @@ class DenseFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DenseFn":
+        if not isinstance(obj, dict):
+            raise ValidationError("dense function JSON must be an object")
         group = GroupSpec.from_json(obj.get("group", {}))
         try:
             vals = np.array(
@@ -131,6 +133,8 @@ class SparseFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SparseFn":
+        if not isinstance(obj, dict):
+            raise ValidationError("sparse function JSON must be an object")
         group = GroupSpec.from_json(obj.get("group", {}))
         entries: dict[Elem, complex] = {}
         try:

@@ -1,29 +1,30 @@
 """Exact integer linear algebra helpers: kernel lattices of integer
 matrices and relation lattices of element tuples in f.g. abelian groups.
 
-Everything here runs on plain Python ints (no overflow) and on the tiny
+The reductions run on plain Python ints (no overflow) and on the tiny
 dimensions that show up in partial-isomorphism checks and dual constraint
 solving, so a straightforward column-reduction is all that is needed.
+One echelon basis both counts and enumerates a solution group mod m.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 from .groups import Elem, GroupSpec
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x in Z^ncols : M x = 0} for the integer matrix with the
-    given rows.  Column reduction with a unimodular transform: columns of
-    the transform under zeroed-out columns of the reduced matrix span the
-    kernel lattice exactly."""
+def _column_reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list]:
+    """Column echelon form E = A U of the integer matrix A with the given
+    rows, and the unimodular U: every entry right of a row's pivot is zero
+    and pivots move right row by row, so a square A of full rank gives a
+    lower-triangular E."""
     a = [list(map(int, r)) for r in rows]
     nrows = len(a)
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
 
     def addmul_col(j, k, q):
         # column j += q * column k, in both a and u
@@ -61,39 +62,36 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
                 break
         if a[r][lead] != 0:
             lead += 1
+    return a, u
 
-    kernel = []
-    for j in range(ncols):
-        if all(a[i][j] == 0 for i in range(nrows)):
-            kernel.append([u[i][j] for i in range(ncols)])
-    return kernel
+
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Basis of {x in Z^ncols : M x = 0} for the integer matrix with the
+    given rows: the columns of the transform under the zeroed-out columns
+    of the column echelon form span the kernel lattice exactly."""
+    a, u = _column_reduce(rows, ncols)
+    return [[u[i][j] for i in range(ncols)] for j in range(ncols)
+            if all(row[j] == 0 for row in a)]
+
+
+def _lattice_mod(rows: Sequence[Sequence[int]], k: int, moduli: Sequence[int]) -> list[list[int]]:
+    """Generators of {r in Z^k : row_i . r = 0 mod moduli[i] for every i},
+    where modulus 0 means equality in Z: the projections onto the first k
+    coordinates of the integer kernel of [rows | diag(moduli)], the zero
+    columns of modulus 0 left out."""
+    aux = [i for i, m in enumerate(moduli) if m]
+    full_rows = [list(row) + [moduli[i] if i == j else 0 for j in aux]
+                 for i, row in enumerate(rows)]
+    return [v[:k] for v in integer_kernel(full_rows, k + len(aux))]
 
 
 def relation_lattice_basis(elems: Sequence[Elem], group: GroupSpec) -> list[list[int]]:
     """Generators of {c in Z^k : sum_i c_i * g_i = 0 in the group}.
 
-    Built as the projection (onto the c coordinates) of the integer kernel
-    of the congruence system with one auxiliary unknown per finite
-    coordinate."""
-    k = len(elems)
-    rows = []
-    aux_cols = []
-    for j, m in enumerate(group.moduli):
-        row = [g[j] for g in elems]
-        rows.append(row)
-        if m >= 1:
-            aux_cols.append((j, m))
-    ncols = k + len(aux_cols)
-    full_rows = []
-    for j, row in enumerate(rows):
-        aux = [0] * len(aux_cols)
-        for a_idx, (jj, m) in enumerate(aux_cols):
-            if jj == j:
-                aux[a_idx] = m
-        full_rows.append(row + aux)
-    kernel = integer_kernel(full_rows, ncols)
-    basis = [v[:k] for v in kernel]
-    return [v for v in basis if any(v)]
+    Built as the lattice of the congruence system with one row per
+    coordinate of the group."""
+    rows = [[g[j] for g in elems] for j in range(group.rank)]
+    return [v for v in _lattice_mod(rows, len(elems), group.moduli) if any(v)]
 
 
 def relations_match(
@@ -116,51 +114,36 @@ def relations_match(
     return True
 
 
-def _lattice_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:
-    """Basis of the lattice {r in Z^k : (rows) r = 0 mod m}: the
-    projections of the integer kernel of [rows | m*I], k vectors."""
-    full_rows = [list(row) + [m if j == i else 0 for j in range(len(rows))]
-                 for i, row in enumerate(rows)]
-    return [vec[:k] for vec in integer_kernel(full_rows, k + len(rows))]
-
-
-def _determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free
-    Bareiss elimination)."""
-    a = [list(row) for row in matrix]
-    n, sign, prev = len(a), 1, 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot], sign = a[pivot], a[c], -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * a[-1][-1] if n else 1
+def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:
+    """Lower-triangular basis, as the columns of a k x k matrix, of the
+    solution lattice L of (rows) r = 0 mod m.  L contains mZ^k, so each
+    diagonal entry d_j divides m."""
+    basis = _lattice_mod(rows, k, [m] * len(rows))
+    return _column_reduce([[v[i] for v in basis] for i in range(k)], k)[0]
 
 
 def kernel_mod_m_size(rows: Sequence[Sequence[int]], k: int, m: int) -> int:
     """len(kernel_mod_m(rows, k, m)) without the enumeration: the solutions
-    are L / mZ^k for the solution lattice L, so there are m^k / |det L|."""
-    return m**k // abs(_determinant(_lattice_mod_m(rows, k, m)))
+    are L / mZ^k, which has prod_j m / |d_j| elements."""
+    ech = _echelon_mod(rows, k, m)
+    return math.prod(m // abs(ech[j][j]) for j in range(k))
 
 
-def kernel_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> list[tuple[int, ...]]:
-    """All solutions r in (Z_m)^k of (rows) r = 0 mod m, enumerated as the
-    subgroup generated by the basis of the solution lattice mod m."""
-    gens = {tuple(v % m for v in vec) for vec in _lattice_mod_m(rows, k, m)}
-    # subgroup closure by breadth-first span
-    seen = {(0,) * k}
-    frontier = [(0,) * k]
-    gen_list = [g for g in gens if any(g)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gen_list:
-            nxt = tuple((a + b) % m for a, b in zip(cur, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return sorted(seen)
+def kernel_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> np.ndarray:
+    """All solutions r in (Z_m)^k of (rows) r = 0 mod m, in lexicographic
+    order, as a (count, k) int64 array.
+
+    Each solution is sum_j c_j col_j mod m for exactly one choice of
+    0 <= c_j < m / |d_j|, over the columns col_j of the lower-triangular
+    basis (compare first coordinates, then the next ones), so one
+    broadcast per column builds them all.  Products c_j * col_j stay below
+    m^2, which fits int64 for m < 2^31; larger m runs on Python ints."""
+    ech = _echelon_mod(rows, k, m)
+    dtype = np.int64 if m < 2**31 else object
+    sols = np.zeros((1, k), dtype=dtype)
+    for j in range(k):
+        col = np.array([ech[i][j] % m for i in range(k)], dtype=dtype)
+        coef = np.arange(m // abs(ech[j][j]), dtype=dtype)[:, None]
+        sols = ((sols[:, None, :] + coef * col) % m).reshape(-1, k)
+    sols = sols.astype(np.int64, copy=False)
+    return sols[np.lexsort(sols.T[::-1])]

@@ -191,8 +191,8 @@ def dual_constraint_solutions(
     dual-element indices.
 
     The congruences decouple across the coordinate factors of the dual, so
-    each factor's solution group is enumerated separately (via the integer
-    kernel of the lifted system) and the factors are combined by
+    each factor's solution group is enumerated separately (from an echelon
+    basis of its solution lattice) and the factors are combined by
     broadcasting, the first factor varying slowest.
 
     S = N^k / |im Lambda^T|.  For ap3, parallelogram and every graph up to
@@ -208,7 +208,7 @@ def dual_constraint_solutions(
         raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}")
     per_coord = []
     for c, m in enumerate(group.moduli):
-        sols = np.array(kernel_mod_m(lam_t, k, m), dtype=np.int64)
+        sols = kernel_mod_m(lam_t, k, m)
         shape = [1] * group.rank + [k]
         shape[c] = len(sols)
         per_coord.append(sols.reshape(shape))

@@ -23,9 +23,7 @@ def spectrum_array(f: DenseFn) -> np.ndarray:
     """Full (untruncated) spectrum as a flat array in dual enumeration
     order.  The dual of a finite group shares its moduli, so indexing
     matches GroupSpec.elements()."""
-    shape = f.group.moduli
-    grid = f.values.reshape(shape)
-    return (np.fft.fftn(grid) / f.group.order).reshape(-1)
+    return fft_rows(f.values[None], f.group)[0] / f.group.order
 
 
 def fft_rows(X: np.ndarray, group: GroupSpec) -> np.ndarray:

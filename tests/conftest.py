@@ -15,7 +15,7 @@ from grouplim.extremal import (
     SPECTRAL_STEP_MIN,
     project_box_mean,
 )
-from grouplim.intlattice import relations_match
+from grouplim.intlattice import integer_kernel, relations_match
 from grouplim.linconfig import dual_gradient
 from grouplim.metric import (
     DEFAULT_WEIGHT_CAP,
@@ -131,6 +131,29 @@ def exact_iso_oracle(
         return rec(0)
     except BudgetError:
         return None
+
+
+def kernel_mod_m_closure(rows, k, m):
+    """Oracle for intlattice.kernel_mod_m: all solutions r in (Z_m)^k of
+    (rows) r = 0 mod m, as the sorted list of tuples of the subgroup
+    generated by the projections of the integer kernel of [rows | m*I],
+    closed by breadth-first span."""
+    full_rows = [list(row) + [m if j == i else 0 for j in range(len(rows))]
+                 for i, row in enumerate(rows)]
+    lattice = [vec[:k] for vec in integer_kernel(full_rows, k + len(rows))]
+    gens = {tuple(v % m for v in vec) for vec in lattice}
+    # subgroup closure by breadth-first span
+    seen = {(0,) * k}
+    frontier = [(0,) * k]
+    gen_list = [g for g in gens if any(g)]
+    while frontier:
+        cur = frontier.pop()
+        for g in gen_list:
+            nxt = tuple((a + b) % m for a, b in zip(cur, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return sorted(seen)
 
 
 def project_box_mean_bisect(v, delta, tol=1e-12):

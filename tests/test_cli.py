@@ -342,6 +342,49 @@ def test_non_finite_json_is_rejected(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+# each file-reading option, as an argv around one path to a bad file
+FILE_OPTIONS = {
+    "--fn": lambda bad, good: ["dft", "--fn", bad],
+    "--lhs": lambda bad, good: ["dist", "--lhs", bad, "--rhs", good],
+    "--rhs": lambda bad, good: ["dist", "--lhs", good, "--rhs", bad],
+    "--fns": lambda bad, good: ["converge", "--fns", f"{good},{bad}"],
+    "--graph": lambda bad, good: ["hom", "--graph", bad, "--fn", good],
+    "--config": lambda bad, good: ["cs1", "--config", bad],
+    "--config-file": lambda bad, good: ["--config-file", bad, "u2", "--fn", good],
+}
+
+
+def _moduli_doc(moduli):
+    return json.dumps({"group": {"moduli": moduli}, "values": [[1.0, 0.0]]}).encode()
+
+
+BAD_FILES = {
+    "directory": None,
+    "byte_ff": b"\xff{}",
+    "json_list": b"[1, 2]",
+    "modulus_str": _moduli_doc(["x"]),
+    "modulus_null": _moduli_doc([None]),
+    "modulus_fraction": _moduli_doc([1.5]),
+    "modulus_bool": _moduli_doc([True]),
+}
+
+
+@pytest.mark.parametrize("bad_file", sorted(BAD_FILES))
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_unreadable_or_malformed_input_files_exit_1(capsys, tmp_path, dense_file,
+                                                    option, bad_file):
+    content = BAD_FILES[bad_file]
+    path = tmp_path / "bad"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(FILE_OPTIONS[option](str(path), dense_file))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error:")
+
+
 def _ints(lo, hi, *extra):
     """Integer arguments in [lo, hi] or among extra, as command-line text."""
     return st.one_of(st.integers(lo, hi), *map(st.just, extra)).map(str)

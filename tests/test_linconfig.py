@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grouplim import DenseFn, constant_fn, indicator_fn, linconfig, make_group
 from grouplim.errors import BudgetError, ValidationError
@@ -22,7 +22,7 @@ from grouplim.linconfig import (
     graph_config,
 )
 from grouplim.spectral import spectrum_array, u2_fourier
-from conftest import random_dense
+from conftest import kernel_mod_m_closure, random_dense
 
 
 def test_builtin_shapes():
@@ -190,7 +190,7 @@ def _complete_graph(n):
                                       (builtin_config("parallelogram"), 30),
                                       (_complete_graph(4), 30),
                                       # K5 has 2m^5 solutions mod even m
-                                      (_complete_graph(5), 8)])
+                                      (_complete_graph(5), 12)])
 def test_kernel_count_matches_the_enumeration(cfg, top):
     lam_t = [list(col) for col in zip(*cfg.matrix())]
     for m in range(1, top + 1):
@@ -206,6 +206,36 @@ def test_kernel_count_matches_brute_force_on_small_systems(system, m):
     brute = sum(all(sum(a * x for a, x in zip(row, r)) % m == 0 for row in rows)
                 for r in itertools.product(range(m), repeat=k))
     assert kernel_mod_m_size(rows, k, m) == brute == len(kernel_mod_m(rows, k, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.lists(st.integers(-40, 40), min_size=k, max_size=k), max_size=3))),
+    st.integers(1, 30))
+@example((3, []), 1)
+@example((4, []), 7)
+@example((2, [[6, 4]]), 1)
+def test_kernel_enumeration_matches_the_closure_oracle(system, m):
+    k, rows = system
+    # the oracle's breadth-first closure is slow past a few 10^4 points
+    assume(kernel_mod_m_size(rows, k, m) <= 30**3)
+    sols = kernel_mod_m(rows, k, m)
+    assert sols.dtype == np.int64
+    np.testing.assert_array_equal(
+        sols, np.array(kernel_mod_m_closure(rows, k, m), dtype=np.int64).reshape(-1, k))
+
+
+def test_kernel_enumeration_is_exact_for_a_huge_composite_modulus():
+    # the echelon columns have entries near m, and c_j * col_j passes 2^63
+    m = 3 * 2**61
+    rows = [[512, 3, 0], [0, 12, 256], [5, 0, 1]]
+    sols = kernel_mod_m(rows, 3, m)
+    assert sols.dtype == np.int64
+    assert 1 < len(sols) == kernel_mod_m_size(rows, 3, m) <= 10**5
+    as_tuples = [tuple(r) for r in sols.tolist()]
+    assert as_tuples == sorted(set(as_tuples))
+    assert all(0 <= x < m for r in as_tuples for x in r)
+    assert all(sum(a * x for a, x in zip(row, r)) % m == 0 for r in as_tuples for row in rows)
 
 
 def test_dual_lattice_over_budget_raises_before_enumerating(monkeypatch):
