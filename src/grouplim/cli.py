@@ -57,6 +57,14 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {e}")
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}")
+
+
 def _load_json(path: str) -> dict:
     try:
         return json.loads(_read_text(path), parse_constant=_reject_constant)
@@ -298,8 +306,7 @@ def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     for row in rows:
         writer.writerow([row["delta"], row["value"], row["grad_norm"], row["monotone_ok"]])
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(buf.getvalue())
+        _write_out(out_path, buf.getvalue())
         _emit({"rows": len(rows), "out": out_path}, started, seed=seed)
     else:
         click.echo(buf.getvalue(), nl=False)
@@ -361,14 +368,12 @@ def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
                 writer.writerow([i, j, "", "", "", ""])
             else:
                 writer.writerow([i, j, cell.lo, cell.hi, cell.exact, cell.weight_capped])
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(buf.getvalue())
     payload = {"cauchy": is_cauchy, "tail_index": tail, "files": paths}
-    if not out_path:
-        payload["table_csv"] = buf.getvalue()
-    else:
+    if out_path:
+        _write_out(out_path, buf.getvalue())
         payload["out"] = out_path
+    else:
+        payload["table_csv"] = buf.getvalue()
     _emit(payload, started, tol=tol, weight_cap=weight_cap, budget=budget)
 
 

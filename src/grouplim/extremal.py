@@ -35,14 +35,8 @@ DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
 # bound on the bytes one _project_rows or _objective call allocates: the
-# pool of runs, and the backtracking ladders of its searching rows, take
-# at most _call_rows rows per call
+# pool of runs takes at most _call_rows rows per call
 CALL_BYTES = 1 << 19
-# most halvings one ladder pass tries per row: a step that fails its first
-# trial has passed 1-3 or 10-19 halvings further down on ap3 over Z_31
-# (seeds 7, 101-103), so one pass settles nearly every row without
-# evaluating up to _call_rows trial steps for a single searching row
-LADDER_DEPTH = 16
 
 
 @dataclass
@@ -55,7 +49,7 @@ class OptResult:
     # how the runs went: per run (constant start first) its iterations,
     # rejected Armijo trial steps and final projected-gradient norm; per
     # call the rows of the _pgd pool, _objective calls and rows those
-    # evaluated
+    # evaluated, one per start and per trial step
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -186,24 +180,23 @@ def _row_bytes(sols: np.ndarray, n: int) -> int:
     bincount weight) and 80 per coordinate (FFT inputs and outputs).  A
     _project_rows row holds under 104 per coordinate (the (R, 2N) knots,
     their sort order and the sorted knots), and a _pgd row projects two
-    rows in one call: its gradient step and its first trial point."""
+    rows in one call: its gradient step and its trial point."""
     return max(48 * sols.size + 80 * n, 2 * 104 * n)
 
 
 def _call_rows(sols: np.ndarray, n: int) -> int:
-    """Rows of the _pgd pool, and of one ladder pass, under CALL_BYTES."""
+    """Rows of the _pgd pool under CALL_BYTES."""
     return max(1, CALL_BYTES // _row_bytes(sols, n))
 
 
 @dataclass
 class _History:
-    """What one _pgd pool did: the active runs (in run order) with their
-    values after each pool iteration, and per run the pool iteration it
-    entered at, its accepted steps, its rejected Armijo trial steps (the
-    count its serial run would reject), its final value and projected
-    gradient norm; also the _objective calls and the rows they
-    evaluated."""
-    active: list[tuple[np.ndarray, np.ndarray]]
+    """What one _pgd pool did: per pool iteration the runs that entered or
+    accepted a step, with their new values; per run the pool iteration it
+    entered at, its accepted steps, its rejected Armijo trial steps, its
+    final value and projected gradient norm; also the _objective calls and
+    the rows they evaluated."""
+    accepted: list[tuple[np.ndarray, np.ndarray]]
     entered: np.ndarray
     iterations: np.ndarray
     backtracks: np.ndarray
@@ -230,22 +223,18 @@ def _pgd(
     initial step with its own nonmonotone Armijo safeguard and backtracking
     (a fixed unit step crawls through the flat valleys of this multilinear
     objective), stopping when its projected gradient norm is at most
-    grad_tol, its line search fails, or after max_iter steps.  A stopped
-    run frees its row, and the next pending run enters it at the next pool
-    iteration; start(i) is called only then.
+    grad_tol, its step falls to the 1e-16 floor, or after max_iter steps.
+    A stopped run frees its row, and the next pending run enters it at the
+    next pool iteration; start(i) is called only then.
 
-    A pool iteration starts with one _project_rows call that gives every
-    active row its projected gradient, for the stopping test, and its first
-    trial point, and projects the starts of the entering runs.  One
-    _objective call evaluates the first trials and the entering starts
-    together.  Rows whose first trial fails Armijo then try ladders of the
-    next halvings s/2, s/4, ... down to the 1e-16 floor, up to LADDER_DEPTH
-    steps per row as fit in the pool, one _project_rows and one _objective
-    call per pass: a row that needs many halvings does not hold the pool
-    for as many calls.  Each row takes the first step of its ladder that
-    passes Armijo, the step its serial backtracking takes, and rows are
-    computed independently of each other, so each run matches its serial
-    run bit for bit.
+    A pool iteration tries one step per row.  One _project_rows call gives
+    every row its projected gradient, for the stopping test, and its trial
+    point, and projects the starts of the entering runs; one _objective
+    call evaluates the trials of the rows that go on, together with the
+    entering starts.  A row whose trial fails Armijo halves its step and
+    tries again at the next pool iteration from the same point, so it
+    passes the same stopping test again.  Rows are computed independently
+    of each other, so each run matches its serial run bit for bit.
 
     Run i competes for slots[i]; returns, per slot in order, its best run
     (least value, ties to the lower run) and that run's final point, the
@@ -255,122 +244,81 @@ def _pgd(
     h = _History([], np.zeros(runs, dtype=np.int64), np.zeros(runs, dtype=np.int64),
                  np.zeros(runs, dtype=np.int64), np.empty(runs), np.empty(runs))
     best: dict[int, tuple[int, np.ndarray]] = {}
-    # state of the active rows in run order: runs enter in order and are
-    # appended, stopped rows are dropped
+    # state of the active rows: runs enter in order and are appended,
+    # stopped rows are dropped
     rows = np.zeros(0, dtype=np.int64)
-    dl, vals, init_step = np.zeros(0), np.zeros(0), np.zeros(0)
-    F = grad = np.zeros((0, n))
+    dl, vals, step = np.zeros(0), np.zeros(0), np.zeros(0)
+    F, grad = np.zeros((0, n)), np.zeros((0, n))
     recent = np.zeros((0, NONMONOTONE_WINDOW))
     pending, t = 0, 0
     while rows.size or pending < runs:
         m = rows.size
         new = np.arange(pending, min(runs, pending + width - m))
         pending += new.size
-        parts = [F - grad, F - init_step[:, None] * grad]
+        parts = [F - grad, F - step[:, None] * grad]
         if new.size:
             parts.append(np.stack([start(i) for i in new.tolist()]))
         proj = _project_rows(np.concatenate(parts), np.concatenate([dl, dl, deltas[new]]))
         pg = F - proj[:m]
         pg = np.sqrt(_rowdot(pg, pg))
-        # a run that entered at pool iteration e takes its step t - e here
-        searching = np.flatnonzero((pg > grad_tol) & (t - h.entered[rows] <= max_iter))
-        accepted = np.zeros(m, dtype=bool)
-        cand, cvals, cgrad = np.empty_like(F), np.empty(m), np.empty_like(F)
-        if searching.size or new.size:
-            # the first trials and the entering starts, in one call
-            c = proj[np.concatenate([m + searching, np.arange(2 * m, len(proj))])]
-            cv, cg = _objective(c, sols, group)
-            h.objective_calls += 1
-            h.rows_evaluated += len(c)
-            s = searching.size
-            reference = recent.max(axis=1)
-            ok = cv[:s] <= reference[searching] + ARMIJO_C * _rowdot(
-                grad[searching], c[:s] - F[searching])
-            hit = searching[ok]
-            accepted[hit] = True
-            cand[hit], cvals[hit], cgrad[hit] = c[:s][ok], cv[:s][ok], cg[:s][ok]
-            searching = searching[~ok]
-            h.backtracks[rows[searching]] += 1
-            step = init_step[searching] * ARMIJO_SHRINK
-            searching, step = searching[step > 1e-16], step[step > 1e-16]
-        while searching.size:
-            # ladder[i, j] = step * ARMIJO_SHRINK**j by repeated products,
-            # as the serial halvings compute it; column depth starts the
-            # next pass
-            depth = max(1, min(LADDER_DEPTH, width // searching.size))
-            ladder = np.full((searching.size, depth + 1), ARMIJO_SHRINK)
-            ladder[:, 0] = step
-            ladder = np.multiply.accumulate(ladder, axis=1)
-            tried = ladder[:, :depth] > 1e-16
-            li, lj = np.nonzero(tried)
-            r = searching[li]
-            f, g = F[r], grad[r]
-            lc = _project_rows(f - ladder[li, lj, None] * g, dl[r])
-            lv, lg = _objective(lc, sols, group)
-            h.objective_calls += 1
-            h.rows_evaluated += li.size
-            ok = np.zeros_like(tried)
-            ok[li, lj] = lv <= reference[r] + ARMIJO_C * _rowdot(g, lc - f)
-            first = ok.argmax(axis=1)
-            found = ok[np.arange(searching.size), first]
-            n_tried = tried.sum(axis=1)
-            # the trials of row i start at position n_tried[:i].sum() of lc
-            at = (np.cumsum(n_tried) - n_tried + first)[found]
-            hit = searching[found]
-            accepted[hit] = True
-            cand[hit], cvals[hit], cgrad[hit] = lc[at], lv[at], lg[at]
-            h.backtracks[rows[searching]] += np.where(found, first, n_tried)
-            step, searching = ladder[~found, depth], searching[~found]
-            searching, step = searching[step > 1e-16], step[step > 1e-16]
-        if not accepted.all():
-            stopped = np.flatnonzero(~accepted)
+        # the trials of the rows that go on, then the entering starts
+        c = proj[m:]
+        stop = (pg <= grad_tol) | (h.iterations[rows] >= max_iter) | (step <= 1e-16)
+        if stop.any():
+            stopped, keep = np.flatnonzero(stop), ~stop
             done = rows[stopped]
             h.values[done], h.grad_norms[done] = vals[stopped], pg[stopped]
-            h.iterations[done] = t - 1 - h.entered[done]
             for j, run in zip(stopped.tolist(), done.tolist()):
                 slot = int(slots[run])
                 if slot not in best or (h.values[run], run) < (h.values[best[slot][0]],
                                                                best[slot][0]):
                     best[slot] = (run, F[j].copy())
-            rows, dl, F, grad = rows[accepted], dl[accepted], F[accepted], grad[accepted]
-            init_step, recent = init_step[accepted], recent[accepted]
-            cand, cvals, cgrad = cand[accepted], cvals[accepted], cgrad[accepted]
-        if rows.size:
-            s = cand - F
-            sy = _rowdot(s, cgrad - grad)
+            rows, dl, F, grad = rows[keep], dl[keep], F[keep], grad[keep]
+            vals, step, recent = vals[keep], step[keep], recent[keep]
+            c = np.concatenate([c[:m][keep], c[m:]])
+        if len(c):
+            cv, cg = _objective(c, sols, group)
+            h.objective_calls += 1
+            h.rows_evaluated += len(c)
+            k = rows.size
+            ok = cv[:k] <= recent.max(axis=1) + ARMIJO_C * _rowdot(grad, c[:k] - F)
+            h.backtracks[rows[~ok]] += 1
+            step[~ok] *= ARMIJO_SHRINK
+            acc = np.flatnonzero(ok)
+            s = c[acc] - F[acc]
+            sy = _rowdot(s, cg[acc] - grad[acc])
             # negative curvature along s: take the longest allowed step
-            init_step = np.where(
+            step[acc] = np.where(
                 sy > 0.0,
                 np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
                         SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
                 SPECTRAL_STEP_MAX,
             )
-            # a run's last values may sit in any columns of the window, as
-            # only their maximum is used
-            recent[:, t % NONMONOTONE_WINDOW] = cvals
-        F, vals, grad = cand, cvals, cgrad
+            F[acc], vals[acc], grad[acc] = c[acc], cv[acc], cg[acc]
+            moved = rows[acc]
+            h.iterations[moved] += 1
+            # column j of a run's window holds its values after j, j + 10,
+            # ... steps; only their maximum is used
+            recent[acc, h.iterations[moved] % NONMONOTONE_WINDOW] = vals[acc]
+            h.accepted.append((np.concatenate([moved, new]), np.concatenate([vals[acc], cv[k:]])))
         if new.size:
-            first_new = len(c) - new.size
             fresh = np.full((new.size, NONMONOTONE_WINDOW), -np.inf)
-            fresh[:, t % NONMONOTONE_WINDOW] = cv[first_new:]
+            fresh[:, 0] = cv[k:]
             rows, dl = np.concatenate([rows, new]), np.concatenate([dl, deltas[new]])
-            F = np.concatenate([F, c[first_new:]])
-            vals = np.concatenate([vals, cv[first_new:]])
-            grad = np.concatenate([grad, cg[first_new:]])
-            init_step = np.concatenate([init_step, np.full(new.size, ARMIJO_INIT_STEP)])
+            F, grad = np.concatenate([F, c[k:]]), np.concatenate([grad, cg[k:]])
+            vals = np.concatenate([vals, cv[k:]])
+            step = np.concatenate([step, np.full(new.size, ARMIJO_INIT_STEP)])
             recent = np.concatenate([recent, fresh])
             h.entered[new] = t
-        h.active.append((rows, vals))
         t += 1
     return [best[slot] for slot in sorted(best)], h
 
 
 def _row_trace(history: _History, run: int) -> list[tuple[int, float]]:
     """The (iteration, value) trace of one run of a _pgd pool."""
-    first = int(history.entered[run])
-    return [(k, float(vals[np.searchsorted(rows, run)]))
-            for k, (rows, vals) in enumerate(
-                history.active[first:first + int(history.iterations[run]) + 1])]
+    runs = np.concatenate([r for r, _ in history.accepted])
+    vals = np.concatenate([v for _, v in history.accepted])
+    return list(enumerate(vals[runs == run].tolist()))
 
 
 def _minimize_grid(

@@ -42,7 +42,11 @@ def round_best_of(f: DenseFn, seed: int, tries: int = 8) -> tuple[DenseFn, float
     deviation from f is smallest.  Returns (h, deviation, winning seed)."""
     if tries < 1:
         raise ValidationError("need at least one rounding attempt")
-    check_seed(seed)
+    # try s draws from the Philox key seed * 2**16 + s, so keys of different
+    # seeds stay apart, and below 2**128, for s < 2**16
+    if tries > 1 << 16:
+        raise ValidationError(f"tries must be at most 2**16, got {tries}")
+    check_seed(seed, bits=112)
     best = None
     for s in range(tries):
         sub_seed = (seed << 16) + s

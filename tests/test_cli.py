@@ -140,6 +140,31 @@ def test_negative_restarts_exit_1(capsys, argv):
     assert "--restarts" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--seed", str(2**120)], ["--seed", str(2**112)],
+                                  ["--seed", "0", "--best-of", str(2**16 + 1)]])
+def test_round_rejects_a_seed_or_tries_past_the_key_space(capsys, dense_file, argv):
+    code = main(["round", "--fn", dense_file] + argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    # the message names the value passed, not a derived key
+    assert argv[-1] in captured.err and "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["rho-curve", "--config", "ap3", "--p", "5", "--deltas", "0.5:0.5:0.1", "--restarts", "1"],
+    ["converge", "--fns", "FN"],
+])
+@pytest.mark.parametrize("missing_dir", [False, True])
+def test_out_write_errors_exit_1(capsys, tmp_path, dense_file, command, missing_dir):
+    # a directory, or a file in a directory that does not exist
+    out = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
+    argv = [dense_file if arg == "FN" else arg for arg in command] + ["--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error:") and "internal error" not in captured.err
+
+
 def test_minimize_rejects_negative_max_iter(capsys):
     code, out = run(capsys, ["minimize", "--config", "ap3", "--p", "5", "--delta", "0.5",
                              "--max-iter", "-1"])

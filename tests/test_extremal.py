@@ -1,4 +1,5 @@
 """Constrained density minimization."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -281,7 +282,9 @@ def test_chunked_runs_match_one_batch(monkeypatch):
         return out
 
     def widest(history):
-        return max(len(rows) for rows, _ in history.active)
+        # the most runs whose [entered, left] pool-iteration spans overlap
+        left = _left(history)
+        return max(((history.entered <= t) & (t <= left)).sum() for t in range(left.max() + 1))
 
     # a pool of 2 rows
     sols = dual_constraint_solutions(cfg, make_group([11]))
@@ -302,21 +305,39 @@ def test_chunked_runs_match_one_batch(monkeypatch):
                        rtol=0, atol=1e-12)
 
 
-def _call_spies(mp, objective_inputs, projected_rows):
-    """Record what every _objective call evaluates and how many rows every
-    _project_rows call projects."""
+def _left(history):
+    """The pool iteration each run of a _pgd pool left at: after its
+    start, each trial step takes one pool iteration, and the stopping test
+    one more."""
+    return history.entered + history.iterations + history.backtracks + 1
+
+
+def _call_spies(mp, objective_inputs, projected_rows, calls):
+    """Record what every _objective call evaluates, how many rows every
+    _project_rows call projects, and the order of the calls ("P" for a
+    projection, "O" for an objective)."""
     objective, project = extremal._objective, _project_rows
 
     def objective_spy(U, *args):
         objective_inputs.append(U.copy())
+        calls.append("O")
         return objective(U, *args)
 
     def project_spy(V, *args):
         projected_rows.append(len(V))
+        calls.append("P")
         return project(V, *args)
 
     mp.setattr(extremal, "_objective", objective_spy)
     mp.setattr(extremal, "_project_rows", project_spy)
+
+
+def _assert_one_projection_per_pool_iteration(calls, history):
+    """A pool iteration makes one _project_rows call, then at most one
+    _objective call."""
+    assert re.fullmatch("(PO?)*", "".join(calls))
+    assert calls.count("P") == _left(history).max() + 1
+    assert calls.count("O") == history.objective_calls
 
 
 def _serial_counting_trials(mp, sols, G, start, delta, max_iter):
@@ -345,13 +366,13 @@ _POOL_CASES = (
 
 @settings(max_examples=30, deadline=None)
 @given(*_POOL_CASES)
-def test_ladder_rows_match_serial_runs_within_the_call_bound(name, moduli, max_iter, call_rows,
-                                                              restarts, seed, deltas):
+def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_iter, call_rows,
+                                                            restarts, seed, deltas):
     G = make_group(moduli)
     cfg = builtin_config(name)
     sols = dual_constraint_solutions(cfg, G)
     row_bytes = extremal._row_bytes(sols, G.order)
-    pools, objective_inputs, projected_rows, serial_values = [], [], [], []
+    pools, objective_inputs, projected_rows, calls, serial_values = [], [], [], [], []
 
     def pgd_spy(sols, group, start, row_deltas, *args):
         starts = []
@@ -368,9 +389,10 @@ def test_ladder_rows_match_serial_runs_within_the_call_bound(name, moduli, max_i
         # the pool has call_rows rows
         mp.setattr(extremal, "CALL_BYTES", call_rows * row_bytes)
         mp.setattr(extremal, "_pgd", pgd_spy)
-        _call_spies(mp, objective_inputs, projected_rows)
+        _call_spies(mp, objective_inputs, projected_rows, calls)
         results, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
         [(starts, row_deltas, (best, history))] = pools
+        _assert_one_projection_per_pool_iteration(calls, history)
         for i, (start, delta) in enumerate(zip(starts, row_deltas)):
             (f, val, gnorm, trace), n_values = _serial_counting_trials(mp, sols, G, start, delta,
                                                                        max_iter)
@@ -398,8 +420,8 @@ def test_ladder_rows_match_serial_runs_within_the_call_bound(name, moduli, max_i
     assert stats["pool_rows"] == call_rows
     assert stats["objective_calls"] == len(objective_rows)
     assert stats["rows_evaluated"] == sum(objective_rows)
-    # the ladders evaluate every step the serial runs evaluate, and maybe more
-    assert stats["rows_evaluated"] >= sum(serial_values)
+    # the pool evaluates the steps the serial runs evaluate, and no more
+    assert stats["rows_evaluated"] == sum(serial_values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -410,7 +432,7 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
     sols = dual_constraint_solutions(builtin_config(name), G)
     starts, row_deltas = _starts(G.order, deltas, restarts, seed)
     runs = len(starts)
-    objective_inputs, projected_rows, drawn_before = [], [], []
+    objective_inputs, projected_rows, calls, drawn_before, serial_values = [], [], [], [], []
 
     def start(i):
         # a start is drawn once, in run order, with the objective calls
@@ -421,8 +443,9 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremal, "CALL_BYTES", call_rows * extremal._row_bytes(sols, G.order))
-        _call_spies(mp, objective_inputs, projected_rows)
+        _call_spies(mp, objective_inputs, projected_rows, calls)
         best, history = _pgd(sols, G, start, row_deltas, np.arange(runs), max_iter, 1e-8)
+        _assert_one_projection_per_pool_iteration(calls, history)
         assert [run for run, _ in best] == list(range(runs))
         for i in range(runs):
             (f, val, gnorm, trace), n_values = _serial_counting_trials(
@@ -432,6 +455,8 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
             assert _row_trace(history, i) == trace
             assert history.iterations[i] == len(trace) - 1
             assert history.backtracks[i] == n_values - len(trace)
+            serial_values.append(n_values)
+    assert history.rows_evaluated == sum(serial_values)
     assert max(len(U) for U in objective_inputs) <= call_rows
     assert max(projected_rows) <= 2 * call_rows
     # each start is drawn in the pool iteration its run enters: the next
@@ -440,12 +465,11 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
         projected = project_box_mean(starts[i], row_deltas[i])
         assert (objective_inputs[q] == projected).all(axis=1).any()
     assert drawn_before.count(0) == min(runs, call_rows)
-    stopped_at = history.entered + history.iterations + 1
-    if runs > call_rows:
-        # some run enters after another has stopped
-        assert history.entered.max() >= stopped_at.min()
-    else:
-        assert not history.entered.any()
+    # the first call_rows runs enter at once, each later one at the pool
+    # iteration after a row frees
+    assert not history.entered[:call_rows].any()
+    left = np.sort(_left(history))
+    assert np.array_equal(history.entered[call_rows:], left[:max(runs - call_rows, 0)] + 1)
 
 
 @pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),
@@ -477,7 +501,7 @@ def test_minimize_stats_record_every_run():
     assert len(res.trace) - 1 in stats["iterations"]
     sols = dual_constraint_solutions(builtin_config("ap3"), make_group([13]))
     assert stats["pool_rows"] == extremal._call_rows(sols, 13)
-    assert stats["rows_evaluated"] >= sum(1 + i + b for i, b in zip(stats["iterations"],
+    assert stats["rows_evaluated"] == sum(1 + i + b for i, b in zip(stats["iterations"],
                                                                    stats["backtracks"]))
     assert set(res.to_json()) == {"value", "grad_norm", "restarts_used", "f_star", "trace",
                                   "bound_kind"}

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from grouplim import DenseFn, constant_fn, make_group
+from grouplim import DenseFn, constant_fn, make_group, rounding
 from grouplim.errors import ValidationError
 from grouplim.rounding import adjust_density, randomized_round, round_best_of
 from grouplim.spectral import u2_fourier
@@ -87,3 +87,15 @@ def test_rounding_rejects_negative_seeds():
         round_best_of(f, seed=-1)
     with pytest.raises(ValidationError):
         adjust_density(constant_fn(G, 0.0), 0.5, seed=-1)
+
+
+def test_round_best_of_checks_seed_and_tries_before_any_work(monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(rounding, "randomized_round", fail)
+    f = constant_fn(make_group([8]), 0.5)
+    # try s of seed 0 and try 0 of seed 1 would share the key 2**16
+    for kwargs in ({"seed": 2**112}, {"seed": 2**120}, {"seed": 0, "tries": 2**16 + 1}):
+        with pytest.raises(ValidationError):
+            round_best_of(f, **kwargs)
