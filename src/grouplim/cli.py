@@ -40,7 +40,7 @@ from .linconfig import (
     density_monte_carlo,
 )
 from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, d_metric, dhat, dprime
-from .rounding import adjust_density, randomized_round, round_best_of
+from .rounding import adjust_density, round_best_of
 from .sequences import cauchy_detect, check_tol, pairwise_table
 from .spectral import dft, u2_direct, u2_fourier
 
@@ -65,6 +65,22 @@ def _write_out(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {e}")
 
 
+def _check_out(ctx, param, path):
+    """--out callback: refuse a path that cannot be written before any
+    work, without creating or truncating the file."""
+    folder = os.path.dirname(path or "") or "."
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(folder)
+                             or not os.access(path if os.path.exists(path) else folder, os.W_OK)):
+        raise ValidationError(f"cannot write {path}: not a writable file in an existing directory")
+    return path
+
+
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
 def _load_json(path: str) -> dict:
     try:
         return json.loads(_read_text(path), parse_constant=_reject_constant)
@@ -76,10 +92,6 @@ def _load_dense(path: str) -> DenseFn:
     return DenseFn.from_json(_load_json(path))
 
 
-def _load_sparse(path: str) -> SparseFn:
-    return SparseFn.from_json(_load_json(path))
-
-
 def _load_config(spec: str) -> ConfigSystem:
     if spec in ("ap3", "parallelogram") or spec.startswith("graph:"):
         return builtin_config(spec)
@@ -88,22 +100,13 @@ def _load_config(spec: str) -> ConfigSystem:
     raise ValidationError(f"unknown config '{spec}' (not a builtin name or file)")
 
 
-def _emit(payload: dict, started: float, **meta):
-    payload = dict(payload)
-    payload["meta"] = {
-        "version": __version__,
-        "timing_s": time.monotonic() - started,
-        **meta,
-    }
-    click.echo(json.dumps(payload, sort_keys=True, allow_nan=False))
-
-
 def _complex_json(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
 def _read_config_file(path: str) -> dict:
-    """TOML-style key=value lines used as argument defaults for batch runs."""
+    """TOML-style key=value lines used as argument defaults for batch runs,
+    keyed by parameter name (best-of and best_of are both best_of)."""
     defaults = {}
     for line in _read_text(path).splitlines():
         line = line.strip()
@@ -112,7 +115,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"bad line in config file: '{line}'")
         key, val = line.split("=", 1)
-        defaults[key.strip().replace("_", "-")] = val.strip().strip("\"'")
+        defaults[key.strip().replace("-", "_")] = val.strip().strip("\"'")
     return defaults
 
 
@@ -122,21 +125,30 @@ def _read_config_file(path: str) -> dict:
 @click.pass_context
 def cli(ctx, config_file):
     """Limit-theory toolkit for functions on finite abelian groups."""
+    ctx.obj = time.monotonic()  # the start of every command's meta.timing_s
     if config_file:
         defaults = _read_config_file(config_file)
-        ctx.default_map = {
-            cmd: {k.replace("-", "_"): v for k, v in defaults.items()}
-            for cmd in cli.commands
-        }
+        ctx.default_map = {cmd: defaults for cmd in cli.commands}
+
+
+@cli.result_callback()
+@click.pass_context
+def _emit(ctx, result, **_group_params):
+    """Print a command's (payload, meta) as one strict JSON line, meta
+    carrying the version and the time since the group callback; a command
+    that returns None has written its output itself."""
+    if result is None:
+        return
+    payload, meta = result
+    payload["meta"] = {"version": __version__, "timing_s": time.monotonic() - ctx.obj, **meta}
+    click.echo(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 @cli.command("dft")
 @click.option("--fn", "fn_path", required=True, type=click.Path())
 def cmd_dft(fn_path):
     """Fourier transform of a dense function, as sparse-spectrum JSON."""
-    started = time.monotonic()
-    f = _load_dense(fn_path)
-    _emit({"spectrum": dft(f).to_json()}, started)
+    return {"spectrum": dft(_load_dense(fn_path)).to_json()}, {}
 
 
 @cli.command("u2")
@@ -144,10 +156,9 @@ def cmd_dft(fn_path):
 @click.option("--method", type=click.Choice(["fourier", "direct"]), default="fourier")
 def cmd_u2(fn_path, method):
     """Gowers U2 norm."""
-    started = time.monotonic()
     f = _load_dense(fn_path)
     value = u2_fourier(f) if method == "fourier" else u2_direct(f)
-    _emit({"u2": value, "method": method}, started)
+    return {"u2": value, "method": method}, {}
 
 
 @cli.command("dist")
@@ -160,17 +171,15 @@ def cmd_u2(fn_path, method):
 @click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True)
 def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
     """Distance bracket between two functions (or two raw spectra)."""
-    started = time.monotonic()
     if raw_spectra:
         if tight:
             raise ValidationError("--tight applies to dense functions, not raw spectra")
-        bracket = dhat(_load_sparse(lhs), _load_sparse(rhs),
-                       weight_cap=weight_cap, node_budget=budget)
+        load, dist = SparseFn.from_json, dhat
     else:
-        f = dprime if tight else d_metric
-        bracket = f(_load_dense(lhs), _load_dense(rhs),
-                    weight_cap=weight_cap, node_budget=budget)
-    _emit(bracket.to_json(), started, weight_cap=weight_cap, budget=budget)
+        load, dist = DenseFn.from_json, dprime if tight else d_metric
+    bracket = dist(load(_load_json(lhs)), load(_load_json(rhs)),
+                   weight_cap=weight_cap, node_budget=budget)
+    return bracket.to_json(), {"weight_cap": weight_cap, "budget": budget}
 
 
 @cli.command("density")
@@ -181,25 +190,16 @@ def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_density(config_spec, fn_path, method, mc_samples, seed):
     """Configuration density of a function."""
-    started = time.monotonic()
     config = _load_config(config_spec)
     f = _load_dense(fn_path)
-    if method == "brute":
-        t = density_brute(config, f)
-        out = {"density": _complex_json(t), "method": "brute"}
-    elif method == "fourier":
-        t = density_fourier(config, f)
-        out = {"density": _complex_json(t), "method": "fourier"}
-    else:
+    payload = {"method": method}
+    if method == "mc":
         t, se = density_monte_carlo(config, f, samples=mc_samples, seed=seed)
-        out = {
-            "density": _complex_json(t),
-            "method": "mc",
-            "estimate": True,
-            "standard_error": se,
-            "samples": mc_samples,
-        }
-    _emit(out, started, seed=seed)
+        payload.update(estimate=True, standard_error=se, samples=mc_samples)
+    else:
+        t = (density_brute if method == "brute" else density_fourier)(config, f)
+    payload["density"] = _complex_json(t)
+    return payload, {"seed": seed}
 
 
 @cli.command("cs1")
@@ -207,10 +207,8 @@ def cmd_density(config_spec, fn_path, method, mc_samples, seed):
 def cmd_cs1(config_spec):
     """Cauchy-Schwarz complexity-1 sufficient check (reported as cs1, it is
     not the true analytic complexity)."""
-    started = time.monotonic()
-    config = _load_config(config_spec)
-    overall, per_form = cs_complexity_at_most_1(config)
-    _emit({"cs1": "yes" if overall else "no", "per_form": per_form}, started)
+    overall, per_form = cs_complexity_at_most_1(_load_config(config_spec))
+    return {"cs1": "yes" if overall else "no", "per_form": per_form}, {}
 
 
 @cli.command("round")
@@ -221,23 +219,14 @@ def cmd_cs1(config_spec):
 def cmd_round(fn_path, seed, best_of, target_density):
     """Randomized rounding to a set indicator, reporting the achieved U2
     deviation."""
-    started = time.monotonic()
     f = _load_dense(fn_path)
     h, dev, win_seed = round_best_of(f, seed, tries=best_of)
     if target_density is not None:
         h = adjust_density(h, target_density, seed)
         dev = u2_fourier(DenseFn(f.group, h.values - f.values))
-    _emit(
-        {
-            "rounded": h.to_json(),
-            "u2_deviation": dev,
-            "winning_seed": win_seed,
-            "mean": h.mean().real,
-        },
-        started,
-        seed=seed,
-        best_of=best_of,
-    )
+    payload = {"rounded": h.to_json(), "u2_deviation": dev, "winning_seed": win_seed,
+               "mean": h.mean().real}
+    return payload, {"seed": seed, "best_of": best_of}
 
 
 @cli.command("minimize")
@@ -253,16 +242,13 @@ def cmd_round(fn_path, seed, best_of, target_density):
 def cmd_minimize(config_spec, p, delta, restarts, seed, max_iter, unsafe_group):
     """Minimize the configuration density at fixed mean over Z_p (reported
     value is an upper bound for that p)."""
-    started = time.monotonic()
-    config = _load_config(config_spec)
     res = minimize_density(
-        config, p, delta, restarts=restarts, seed=seed,
+        _load_config(config_spec), p, delta, restarts=restarts, seed=seed,
         max_iter=max_iter, unsafe_group=unsafe_group,
     )
-    _emit(res.to_json(), started, seed=seed, restarts=restarts,
-          step_rule={"armijo_c": ARMIJO_C, "shrink": ARMIJO_SHRINK,
-                     "init": "spectral"},
-          stats=res.stats)
+    step_rule = {"armijo_c": ARMIJO_C, "shrink": ARMIJO_SHRINK, "init": "spectral"}
+    return res.to_json(), {"seed": seed, "restarts": restarts, "step_rule": step_rule,
+                           "stats": res.stats}
 
 
 # a --deltas grid with more steps than this is refused before it is built
@@ -293,23 +279,19 @@ def _delta_grid(spec: str) -> list[float]:
 @click.option("--restarts", type=click.IntRange(min=0), default=DEFAULT_RESTARTS,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_check_out,
               help="write CSV here instead of stdout")
 def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     """Minimal-density curve over a delta grid, as CSV."""
-    started = time.monotonic()
     config = _load_config(config_spec)
     rows = rho_curve(config, p, _delta_grid(deltas), restarts=restarts, seed=seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["delta", "value", "grad_norm", "monotone_ok"])
-    for row in rows:
-        writer.writerow([row["delta"], row["value"], row["grad_norm"], row["monotone_ok"]])
-    if out_path:
-        _write_out(out_path, buf.getvalue())
-        _emit({"rows": len(rows), "out": out_path}, started, seed=seed)
-    else:
-        click.echo(buf.getvalue(), nl=False)
+    header = ["delta", "value", "grad_norm", "monotone_ok"]
+    text = _csv_text(header, ([row[key] for key in header] for row in rows))
+    if not out_path:
+        click.echo(text, nl=False)
+        return None
+    _write_out(out_path, text)
+    return {"rows": len(rows), "out": out_path}, {"seed": seed}
 
 
 @cli.command("hom")
@@ -318,23 +300,14 @@ def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
 @click.option("--verify-bridge", "do_verify", is_flag=True)
 def cmd_hom(graph_path, fn_path, do_verify):
     """Homomorphism density of a graph in the Cayley kernel of a function."""
-    started = time.monotonic()
     H = Graph.from_json(_load_json(graph_path))
     f = _load_dense(fn_path)
-    if do_verify:
-        report = verify_bridge(H, f)
-        _emit(
-            {
-                "hom_density": _complex_json(report["hom_density"]),
-                "config_density": _complex_json(report["config_density"]),
-                "abs_diff": report["abs_diff"],
-                "ok": report["ok"],
-            },
-            started,
-        )
-    else:
-        t = hom_density(H, cayley_kernel(f))
-        _emit({"hom_density": _complex_json(t)}, started)
+    if not do_verify:
+        return {"hom_density": _complex_json(hom_density(H, cayley_kernel(f)))}, {}
+    report = verify_bridge(H, f)
+    payload = {key: _complex_json(report[key]) for key in ("hom_density", "config_density")}
+    payload.update(abs_diff=report["abs_diff"], ok=report["ok"])
+    return payload, {}
 
 
 @cli.command("converge")
@@ -344,10 +317,9 @@ def cmd_hom(graph_path, fn_path, do_verify):
 @click.option("--tol", type=float, default=0.1, show_default=True)
 @click.option("--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, show_default=True)
 @click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(), default=None, callback=_check_out)
 def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     """Pairwise distance table for a function sequence plus Cauchy check."""
-    started = time.monotonic()
     check_tol(tol)
     if "," in fn_glob:
         paths = [p for p in fn_glob.split(",") if p]
@@ -358,23 +330,16 @@ def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     fs = [_load_dense(p) for p in paths]
     table = pairwise_table(fs, metric=metric, weight_cap=weight_cap, node_budget=budget)
     is_cauchy, tail = cauchy_detect(table, tol)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["i", "j", "lo", "hi", "exact", "weight_capped"])
-    for i in range(len(fs)):
-        for j in range(len(fs)):
-            cell = table[i][j]
-            if cell is None:
-                writer.writerow([i, j, "", "", "", ""])
-            else:
-                writer.writerow([i, j, cell.lo, cell.hi, cell.exact, cell.weight_capped])
+    text = _csv_text(["i", "j", "lo", "hi", "exact", "weight_capped"], (
+        [i, j] + (["", "", "", ""] if c is None else [c.lo, c.hi, c.exact, c.weight_capped])
+        for i, row in enumerate(table) for j, c in enumerate(row)))
     payload = {"cauchy": is_cauchy, "tail_index": tail, "files": paths}
     if out_path:
-        _write_out(out_path, buf.getvalue())
+        _write_out(out_path, text)
         payload["out"] = out_path
     else:
-        payload["table_csv"] = buf.getvalue()
-    _emit(payload, started, tol=tol, weight_cap=weight_cap, budget=budget)
+        payload["table_csv"] = text
+    return payload, {"tol": tol, "weight_cap": weight_cap, "budget": budget}
 
 
 def main(argv=None) -> int:

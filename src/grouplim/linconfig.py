@@ -197,15 +197,20 @@ def dual_constraint_solutions(
 
     S = N^k / |im Lambda^T|.  For ap3, parallelogram and every graph up to
     K5 that is at most the N^n assignments density_brute sums over; denser
-    graphs have more (K6 on Z_5: 5^9 points against 5^6 assignments)."""
+    graphs have more (K6 on Z_5: 5^9 points against 5^6 assignments).
+
+    budget bounds the int64 entries held at the peak, the (S, k, rank)
+    coordinate stack plus the (S, k) result, counted before anything is
+    enumerated."""
     if not group.is_finite:
         raise ValidationError("density evaluation needs a finite group")
     k = config.size
     lam_t = [list(col) for col in zip(*config.matrix())]
-    # counted before any factor is enumerated
     total = math.prod(kernel_mod_m_size(lam_t, k, m) for m in group.moduli)
-    if total > budget:
-        raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}")
+    entries = total * k * (group.rank + 1)
+    if entries > budget:
+        raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}: "
+                          f"enumerating them holds {entries} int64 entries")
     per_coord = []
     for c, m in enumerate(group.moduli):
         sols = kernel_mod_m(lam_t, k, m)

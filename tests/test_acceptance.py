@@ -139,33 +139,39 @@ def _l1_ball(d, w):
     return _BALLS[key]
 
 
-_PATTERNS: dict = {}
+_EXTENSIONS: dict = {}
 
 
-def _zero_pattern(elems, group, w):
-    """Which signed combinations of weight <= w vanish, as bits over the
-    ball enumeration (memoized: the same tuples recur across leaves)."""
-    key = (tuple(elems), group.moduli, w)
-    if key in _PATTERNS:
-        return _PATTERNS[key]
-    ball = _l1_ball(len(elems), w)
-    if not elems:
-        ok = np.ones(len(ball), dtype=bool)
-    else:
-        sums = ball @ np.array(elems, dtype=np.int64)
-        ok = np.ones(len(ball), dtype=bool)
-        for j, m in enumerate(group.moduli):
-            col = sums[:, j]
-            ok &= (col % m == 0) if m > 0 else (col == 0)
-    out = np.packbits(ok)
-    _PATTERNS[key] = out
+def _ball_extension(d, w):
+    """For each vector of _l1_ball(d + 1, w): the row of its first d
+    coordinates in _l1_ball(d, w), and its last coordinate."""
+    key = (d, w)
+    if key not in _EXTENSIONS:
+        rows = {v: i for i, v in enumerate(map(tuple, _l1_ball(d, w).tolist()))}
+        ball = _l1_ball(d + 1, w)
+        _EXTENSIONS[key] = (np.array([rows[tuple(v[:-1])] for v in ball.tolist()]), ball[:, -1])
+    return _EXTENSIONS[key]
+
+
+def _grow_sums(sums, d, elem, group, w):
+    """The signed combinations of weight <= w of a d-tuple grown by elem,
+    from those of the d-tuple (one row per ball vector), each coordinate
+    reduced mod its modulus, so a combination vanishes iff its row is 0."""
+    parent, last = _ball_extension(d, w)
+    out = sums[parent] + last[:, None] * np.array(elem, dtype=np.int64)
+    for j, m in enumerate(group.moduli):
+        if m > 0:
+            out[:, j] %= m
     return out
 
 
 def _oracle_feasible(f1, f2, eps, weight_cap):
     """Plain enumeration: every injective, value-compatible map whose
     image covers the eps-support of f2, checked against the full ball of
-    signed relations at the capped weight."""
+    signed relations at the capped weight.  The relations are checked as
+    the map grows: a relation among the first pairs is a relation of the
+    whole tuple (zero coefficients on the rest), so a branch whose domain
+    and image already differ in which combinations vanish is cut."""
     w = min(math.ceil(1.0 / eps - 1e-12), weight_cap)
     g1, g2 = f1.group, f2.group
     stored = sorted(f1.entries)
@@ -176,32 +182,27 @@ def _oracle_feasible(f1, f2, eps, weight_cap):
     items = [(g, True) for g in supp1] + [(g, False) for g in optional]
     found = [False]
 
-    def rec(i, dom, img):
+    def rec(i, img, sums1, sums2):
         if found[0]:
             return
         if i == len(items):
-            if supp2 <= set(img):
-                if np.array_equal(_zero_pattern(dom, g1, w),
-                                  _zero_pattern(img, g2, w)):
-                    found[0] = True
+            found[0] = supp2 <= set(img)
             return
         g, mandatory = items[i]
         v = f1.entries[g]
         for h in targets:
-            if h in img:
+            if h in img or abs(v - f2.entries.get(h, 0.0)) > eps + 1e-15:
                 continue
-            if abs(v - f2.entries.get(h, 0.0)) <= eps + 1e-15:
-                dom.append(g)
-                img.append(h)
-                rec(i + 1, dom, img)
-                dom.pop()
-                img.pop()
+            grown1 = _grow_sums(sums1, len(img), g, g1, w)
+            grown2 = _grow_sums(sums2, len(img), h, g2, w)
+            if np.array_equal(grown1.any(axis=1), grown2.any(axis=1)):
+                rec(i + 1, img + [h], grown1, grown2)
                 if found[0]:
                     return
         if not mandatory:
-            rec(i + 1, dom, img)
+            rec(i + 1, img, sums1, sums2)
 
-    rec(0, [], [])
+    rec(0, [], np.zeros((1, g1.rank), dtype=np.int64), np.zeros((1, g2.rank), dtype=np.int64))
     return found[0]
 
 

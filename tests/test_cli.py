@@ -2,15 +2,20 @@
 import contextlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grouplim
 from grouplim import DenseFn, cli as cli_module, make_group
 from grouplim.cli import main
+from grouplim.errors import BudgetError
 from grouplim.graphon import Graph
 
 
@@ -150,19 +155,56 @@ def test_round_rejects_a_seed_or_tries_past_the_key_space(capsys, dense_file, ar
     assert argv[-1] in captured.err and "internal error" not in captured.err
 
 
-@pytest.mark.parametrize("command", [
+OUT_COMMANDS = [
     ["rho-curve", "--config", "ap3", "--p", "5", "--deltas", "0.5:0.5:0.1", "--restarts", "1"],
     ["converge", "--fns", "FN"],
-])
+]
+# the function each --out command does its work in
+OUT_WORK = {"rho-curve": "rho_curve", "converge": "pairwise_table"}
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
 @pytest.mark.parametrize("missing_dir", [False, True])
-def test_out_write_errors_exit_1(capsys, tmp_path, dense_file, command, missing_dir):
-    # a directory, or a file in a directory that does not exist
+def test_out_write_errors_exit_1(capsys, monkeypatch, tmp_path, dense_file, command,
+                                 missing_dir):
+    # a directory, or a file in a directory that does not exist, is refused
+    # before the curve or the table is computed
+    monkeypatch.setattr(cli_module, OUT_WORK[command[0]], _fail_if_called)
     out = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
     argv = [dense_file if arg == "FN" else arg for arg in command] + ["--out", str(out)]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("error:") and "internal error" not in captured.err
+    assert captured.err.startswith("error: cannot write") and "internal error" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_in_a_read_only_directory_exits_1(capsys, monkeypatch, tmp_path):
+    # the permission check is faked, since root may write anywhere
+    monkeypatch.setattr(cli_module.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(cli_module, "rho_curve", _fail_if_called)
+    assert main(OUT_COMMANDS[0] + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_is_left_alone_when_the_work_fails(capsys, monkeypatch, tmp_path, dense_file,
+                                               command):
+    def over_budget(*args, **kwargs):
+        raise BudgetError("over budget")
+
+    monkeypatch.setattr(cli_module, OUT_WORK[command[0]], over_budget)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("kept\n")
+    argv = [dense_file if arg == "FN" else arg for arg in command]
+    for out in (old, new):
+        assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert old.read_text() == "kept\n" and not new.exists()
 
 
 def test_minimize_rejects_negative_max_iter(capsys):
@@ -237,6 +279,25 @@ def test_rho_curve_grid_fuzz_exits_0_or_1_with_strict_json(parts):
             assert _strict_json(stdout.getvalue())["rows"] >= 1
         else:
             assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["cs1", "--config", "ap3"], 0, ""),
+    (["cs1", "--config", "mystery"], 1, "error: unknown config 'mystery'"),
+    (["minimize", "--config", "ap3", "--p", "2305843009213693951", "--delta", "0.5"], 2,
+     "budget exceeded: dual constraint lattice has 2305843009213693951 points"),
+])
+def test_module_run_exits_with_the_code_main_returns(argv, code, err):
+    src = os.path.dirname(os.path.dirname(grouplim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "grouplim.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == code and proc.stderr.startswith(err)
+    if code == 0:
+        assert _strict_json(proc.stdout)["cs1"] == "yes"
+    else:
+        assert proc.stdout == ""
 
 
 def test_hom_verify_bridge(capsys, dense_file, tmp_path):
@@ -443,3 +504,126 @@ def test_minimize_and_rho_curve_fuzz_exit_0_1_or_2_with_strict_json(
         _strict_json(stdout.getvalue())
     else:
         assert stdout.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small input files for the all-subcommand fuzz, by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(21)
+    docs = {
+        "spectrum": {"group": {"moduli": [5]},
+                     "entries": [{"elem": [1], "re": 0.5, "im": 0.0},
+                                 {"elem": [2], "re": 0.25, "im": 0.1}]},
+        "triangle": Graph(3, ((0, 1), (1, 2), (0, 2))).to_json(),
+        "edge": Graph(2, ((0, 1),)).to_json(),
+        "config": {"forms": [[1, 0], [1, 1], [1, 2]]},
+        "bad": "{not json",
+        "nan": '{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}',
+        "batch": "seed = 3\nrestarts = 1\n",
+    }
+    for moduli in ([5], [8], [2, 3]):
+        G = make_group(moduli)
+        docs["z" + "x".join(map(str, moduli))] = DenseFn(G, rng.random(G.order) + 0j).to_json()
+    paths = {}
+    for name, doc in docs.items():
+        path = root / f"{name}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def _pick(good, bad=()):
+    """One of the good values three times as often as one of the bad."""
+    return st.sampled_from(list(good) * 3 + list(bad))
+
+
+def _opt(flag, values):
+    """[] or [flag, value]."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+@st.composite
+def _command_argv(draw, files, command):
+    dense = [files[n] for n in ("z5", "z8", "z2x3")]
+    fn = _pick(dense, [files["bad"], files["nan"], "absent"])
+    config = _pick(["ap3", "parallelogram", "graph:0-1,1-2,2-0", files["config"]],
+                   ["graph:0-1", "mystery", files["bad"]])
+    seed = st.one_of(_ints(0, 4), _pick([], ["-1", str(2**64), str(2**112)]))
+    p = _pick(["2", "5", "7", "31"], ["4", "1", "0", "-3", "x"])
+    fraction = st.one_of(st.floats(0, 1).map(repr), st.floats(-0.5, 1.5).map(repr),
+                         st.sampled_from(["nan", "inf", "x"]))
+    restarts = _pick(["0", "1", "2"], ["-1"])
+    cap, budget = _pick(["1", "3", "12"], ["0", "-1"]), _pick(["1", "3", "200"], ["0", "-1"])
+    out = st.sampled_from(["OUT_FILE", "OUT_FILE", "OUT_DIR", "OUT_MISSING"])
+    raw = draw(st.booleans())
+    pair = _pick([files["spectrum"]], dense) if raw else fn
+    options = {
+        "dft": [_req("--fn", fn)],
+        "u2": [_req("--fn", fn), _opt("--method", _pick(["fourier", "direct"], ["x"]))],
+        "dist": [_req("--lhs", pair), _req("--rhs", pair),
+                 st.just(["--raw-spectra"] if raw else []), _flag("--tight"),
+                 _opt("--weight-cap", cap), _req("--budget", budget)],
+        "density": [_req("--config", config), _req("--fn", fn),
+                    _opt("--method", _pick(["brute", "fourier", "mc"], ["x"])),
+                    _req("--monte-carlo", _pick(["1", "50"], ["0", "-1"])), _opt("--seed", seed)],
+        "cs1": [_req("--config", config)],
+        "round": [_req("--fn", fn), _req("--seed", seed),
+                  _opt("--best-of", _pick(["1", "4"], ["0", "-1", str(2**16 + 1)])),
+                  _opt("--target-density", fraction)],
+        "minimize": [_req("--config", config), _req("--p", p), _req("--delta", fraction),
+                     _req("--restarts", restarts), _opt("--seed", seed),
+                     _req("--max-iter", _pick(["0", "5", "30"], ["-1"])), _flag("--unsafe-group")],
+        "rho-curve": [_req("--config", config), _req("--p", p),
+                      _opt("--deltas", _pick(["0.1:0.9:0.4", "0:1:0.5", "0.5:0.5:0.1"],
+                                             ["0.9:0.1:0.1", "x"])),
+                      _req("--restarts", restarts), _opt("--seed", seed), _opt("--out", out)],
+        "hom": [_req("--graph", _pick([files["triangle"], files["edge"]], [files["bad"]])),
+                _req("--fn", fn), _flag("--verify-bridge")],
+        "converge": [_req("--fns", _pick([",".join(dense[:2]), ",".join(dense + dense[1:2]),
+                                          dense[0].replace("z5", "z*")],
+                                         [f"{dense[0]},{files['bad']}", "nomatch*"])),
+                     _opt("--metric", _pick(["d", "dprime"], ["x"])),
+                     _opt("--tol", _pick(["0.1", "0"], ["-1", "nan", "inf"])),
+                     _opt("--weight-cap", cap), _req("--budget", budget), _opt("--out", out)],
+    }
+    argv = draw(_pick([[]], [["--config-file", files["batch"]]])) + [command]
+    for part in options[command]:
+        argv += draw(part)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(cli_module.cli.commands))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_fuzz_exits_0_1_or_2_with_strict_json(fuzz_inputs, command, data):
+    argv = data.draw(_command_argv(fuzz_inputs, command))
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {"OUT_FILE": os.path.join(tmp, "out.csv"), "OUT_DIR": tmp,
+                "OUT_MISSING": os.path.join(tmp, "missing", "out.csv")}
+        argv = [outs.get(arg, arg) for arg in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    lines = stdout.getvalue().splitlines()
+    if code != 0:
+        assert lines == []
+    elif command == "rho-curve" and "--out" not in argv:
+        assert lines[0] == "delta,value,grad_norm,monotone_ok" and len(lines) >= 2
+        for line in lines[1:]:
+            delta, value, grad_norm, monotone_ok = line.split(",")
+            assert all(math.isfinite(float(x)) for x in (delta, value, grad_norm))
+            assert monotone_ok in ("True", "False")
+    else:
+        assert len(lines) == 1
+        meta = _strict_json(lines[0])["meta"]
+        assert meta["version"] and meta["timing_s"] >= 0

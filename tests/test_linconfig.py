@@ -248,6 +248,20 @@ def test_dual_lattice_over_budget_raises_before_enumerating(monkeypatch):
             dual_constraint_solutions(builtin_config("ap3"), make_group([p]), budget=10**4)
 
 
+def test_dual_lattice_over_its_entry_budget_raises_before_enumerating(monkeypatch):
+    # K5 on Z_30 has 2 * 30^5 = 48.6 M points, under the default budget, but
+    # its coordinate stack and (S, 10) result hold 972 M int64 entries
+    def fail(*args):
+        raise AssertionError("enumerated a solution group")
+
+    monkeypatch.setattr(linconfig, "kernel_mod_m", fail)
+    k5 = _complete_graph(5)
+    points = 2 * 30**5
+    assert points < linconfig.DENSITY_BUDGET
+    with pytest.raises(BudgetError, match=f"has {points} points.* {points * 20} int64 entries"):
+        dual_constraint_solutions(k5, make_group([30]))
+
+
 def test_cs_complexity_classifications():
     ok, per_form = cs_complexity_at_most_1(builtin_config("ap3"))
     assert ok and all(per_form)
