@@ -103,15 +103,10 @@ def relations_match(
     """True iff the relation lattices of the two element tuples coincide,
     i.e. the pairing g_i -> h_i extends to an isomorphism of the generated
     subgroups."""
-    if len(elems1) != len(elems2):
-        return False
-    for c in relation_lattice_basis(elems1, g1):
-        if not g2.is_zero(g2.signed_combination(c, elems2)):
-            return False
-    for c in relation_lattice_basis(elems2, g2):
-        if not g1.is_zero(g1.signed_combination(c, elems1)):
-            return False
-    return True
+    return len(elems1) == len(elems2) and all(
+        gb.is_zero(gb.signed_combination(c, eb))
+        for ea, ga, eb, gb in ((elems1, g1, elems2, g2), (elems2, g2, elems1, g1))
+        for c in relation_lattice_basis(ea, ga))
 
 
 def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:
@@ -133,17 +128,22 @@ def kernel_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> np.ndarray:
     """All solutions r in (Z_m)^k of (rows) r = 0 mod m, in lexicographic
     order, as a (count, k) int64 array.
 
-    Each solution is sum_j c_j col_j mod m for exactly one choice of
-    0 <= c_j < m / |d_j|, over the columns col_j of the lower-triangular
-    basis (compare first coordinates, then the next ones), so one
-    broadcast per column builds them all.  Products c_j * col_j stay below
-    m^2, which fits int64 for m < 2^31; larger m runs on Python ints."""
+    The solutions are the sums sum_j c_j col_j mod m over the columns of the
+    lower-triangular basis, scaled to d_j > 0, each c_j running over any m / d_j
+    consecutive integers: one broadcast per column.  Column j leaves the
+    coordinates before j alone, and each row's run starts where its
+    coordinate j lies in [0, d_j), so the rows come out sorted.  Products
+    stay below m^2: int64 for m < 2^31, Python ints above."""
     ech = _echelon_mod(rows, k, m)
     dtype = np.int64 if m < 2**31 else object
     sols = np.zeros((1, k), dtype=dtype)
     for j in range(k):
-        col = np.array([ech[i][j] % m for i in range(k)], dtype=dtype)
-        coef = np.arange(m // abs(ech[j][j]), dtype=dtype)[:, None]
-        sols = ((sols[:, None, :] + coef * col) % m).reshape(-1, k)
-    sols = sols.astype(np.int64, copy=False)
-    return sols[np.lexsort(sols.T[::-1])]
+        d = abs(ech[j][j])
+        if d == m:
+            continue  # c_j = 0: the coordinates before fix coordinate j
+        col = np.array([ech[i][j] * d // ech[j][j] % m for i in range(k)], dtype=dtype)
+        sols -= (sols[:, j] // d)[:, None] * col
+        sols = sols[:, None, :] + np.arange(m // d, dtype=dtype)[:, None] * col
+        sols %= m
+        sols = sols.reshape(-1, k)
+    return sols.astype(np.int64, copy=False)

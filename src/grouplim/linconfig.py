@@ -192,33 +192,31 @@ def dual_constraint_solutions(
 
     The congruences decouple across the coordinate factors of the dual, so
     each factor's solution group is enumerated separately (from an echelon
-    basis of its solution lattice) and the factors are combined by
-    broadcasting, the first factor varying slowest.
+    basis of its solution lattice) and its rows are folded into the flat
+    indices as mixed-radix digits, the first factor varying slowest.
 
     S = N^k / |im Lambda^T|.  For ap3, parallelogram and every graph up to
     K5 that is at most the N^n assignments density_brute sums over; denser
     graphs have more (K6 on Z_5: 5^9 points against 5^6 assignments).
 
-    budget bounds the int64 entries held at the peak, the (S, k, rank)
-    coordinate stack plus the (S, k) result, counted before anything is
-    enumerated."""
+    budget bounds the int64 entries held at the peak, counted as (2k+1) S
+    before anything is enumerated.  The peak holds the result, the flat
+    indices of the factors before and the current factor's solutions,
+    about 2kS entries at most."""
     if not group.is_finite:
         raise ValidationError("density evaluation needs a finite group")
     k = config.size
     lam_t = [list(col) for col in zip(*config.matrix())]
     total = math.prod(kernel_mod_m_size(lam_t, k, m) for m in group.moduli)
-    entries = total * k * (group.rank + 1)
+    entries = total * (2 * k + 1)
     if entries > budget:
         raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}: "
                           f"enumerating them holds {entries} int64 entries")
-    per_coord = []
-    for c, m in enumerate(group.moduli):
-        sols = kernel_mod_m(lam_t, k, m)
-        shape = [1] * group.rank + [k]
-        shape[c] = len(sols)
-        per_coord.append(sols.reshape(shape))
-    coords = np.stack(np.broadcast_arrays(*per_coord), axis=-1)
-    return group.flat_index(coords).reshape(-1, k)
+    flat = np.zeros((1, k), dtype=np.int64)
+    for m in group.moduli:
+        flat *= m
+        flat = (flat[:, None, :] + kernel_mod_m(lam_t, k, m)).reshape(-1, k)
+    return flat
 
 
 def dual_density_and_gradient(
@@ -292,13 +290,21 @@ def density_monte_carlo(
     seed: int = 0,
     group: Optional[GroupSpec] = None,
 ) -> tuple[complex, float]:
-    """Unbiased sampled estimate of the density with its standard error."""
+    """Unbiased sampled estimate of the density with its standard error.
+
+    Every per-sample array built below, n + (n + k) rank + 3k + 6 int64-sized
+    entries per sample, is counted against DENSITY_BUDGET before drawing."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     check_seed(seed)
     Fs, group = _as_system(F, config.size, group)
+    n, k = config.arity, config.size
+    entries = samples * (n + (n + k) * group.rank + 3 * k + 6)
+    if entries > DENSITY_BUDGET:
+        raise BudgetError(f"{samples} samples hold {entries} int64-sized entries, "
+                          f"over budget {DENSITY_BUDGET}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    var_idx = rng.integers(0, group.order, size=(samples, config.arity))
+    var_idx = rng.integers(0, group.order, size=(samples, n))
     prod = form_products(np.stack([f.values for f in Fs]),
                          _form_indices(config, group, var_idx))
     est = complex(np.mean(prod))

@@ -154,10 +154,8 @@ def _relations_consistent(
     search over the ball, one budget node per step tried: O(|ball| * k)."""
     rank1 = len(g1.moduli)
     mods = g1.moduli + g2.moduli
-    steps = []
-    for g, h in zip(gs, hs):
-        s = tuple(g) + tuple(h)
-        steps += [s, tuple(-x for x in s)]
+    steps = [tuple(sign * x for x in tuple(g) + tuple(h))
+             for g, h in zip(gs, hs) for sign in (1, -1)]
     zero = (0,) * len(mods)
     seen = {zero}
     frontier = [zero]
@@ -185,9 +183,7 @@ def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     """Full weight-n relation check for an explicit map."""
     gs = [g1.reduce(g) for g in phi.domain()]
     hs = [g2.reduce(h) for h in phi.image()]
-    return _relations_consistent(
-        gs, hs, g1, g2, phi.weight, _Budget(DEFAULT_NODE_BUDGET)
-    )
+    return _relations_consistent(gs, hs, g1, g2, phi.weight, _Budget(DEFAULT_NODE_BUDGET))
 
 
 def _search(
@@ -196,25 +192,23 @@ def _search(
     sources: Sequence[Elem],
     targets: Optional[set[Elem]],
     tol: float,
-    weight: int,
     budget: _Budget,
-    accept: Optional[Callable[[list[Elem], list[Elem]], bool]] = None,
-) -> Optional[PartialIso]:
+    consistent: Callable[[list[Elem], list[Elem]], bool],
+) -> Optional[list[tuple[Elem, Elem]]]:
     """Backtracking search for an injective map from stored entries of f1
-    to stored entries of f2 that pairs values within tol and keeps every
-    relation of weight <= weight.
+    to stored entries of f2 that pairs values within tol and keeps
+    consistent(gs, hs) true on every prefix, gs its domain and hs its image.
 
     Each of the sources is mapped in order; then, unless targets is None,
     the least target not yet in the image is covered from f1's entries,
     until none is left.  The partners of an element are the other
     function's entries within tol of its value, tried in the order
-    (|f1(g) - f2(h)|, element).  The map is returned once it is complete
-    and accept(gs, hs) holds (or accept is None); None means no map exists.
+    (|f1(g) - f2(h)|, element).  Returns the pairs of the first complete
+    map, or None when no map exists.
 
-    Node charges: one per call of the recursion, one more on entering the
-    cover phase, and one per step of each Cayley-ball check.  BudgetError
-    is raised when they exceed the budget."""
-    g1, g2 = f1.group, f2.group
+    Node charges: one per call of the recursion and one more on entering
+    the cover phase, plus whatever consistent charges.  BudgetError is
+    raised when they exceed the budget."""
     gs: list[Elem] = []
     hs: list[Elem] = []
 
@@ -222,7 +216,7 @@ def _search(
         return [x for _, x in sorted((abs(v - w), x) for x, w in entries.items()
                                      if abs(v - w) <= tol)]
 
-    def rec() -> Optional[PartialIso]:
+    def rec() -> Optional[list[tuple[Elem, Elem]]]:
         budget.spend()
         i = len(gs)
         if i < len(sources):
@@ -233,15 +227,13 @@ def _search(
                 budget.spend()
             missing = targets - set(hs) if targets else ()
             if not missing:
-                if accept is None or accept(gs, hs):
-                    return PartialIso(tuple(zip(gs, hs)), weight)
-                return None
+                return list(zip(gs, hs))
             h, used = min(missing), set(gs)
             pairs = [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
         for g, h in pairs:
             gs.append(g)
             hs.append(h)
-            if _relations_consistent(gs, hs, g1, g2, weight, budget):
+            if consistent(gs, hs):
                 res = rec()
                 if res is not None:
                     return res
@@ -272,7 +264,10 @@ def exists_eps_iso(
         weight = max(1, math.ceil(1.0 / eps - 1e-12))
     elif weight < 1:
         raise ValidationError("weight must be a positive integer")
-    return _search(f1, f2, sources, targets, eps + 1e-15, weight, _Budget(node_budget))
+    budget = _Budget(node_budget)
+    pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, lambda gs, hs:
+                    _relations_consistent(gs, hs, f1.group, f2.group, weight, budget))
+    return None if pairs is None else PartialIso(pairs, weight)
 
 
 def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[PartialIso]:
@@ -280,22 +275,18 @@ def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[Partial
     relation lattices coincide exactly, or None (also when the budget runs
     out).  Such a certificate collapses the bracket to [0, 0].  The value
     multisets agree, so a map of every stored entry of f1 into those of f2
-    covers them all and needs no cover phase."""
-    v1 = sorted((v.real, v.imag) for v in f1.entries.values())
-    v2 = sorted((w.real, w.imag) for w in f2.entries.values())
-    if len(v1) != len(v2) or any(
-        abs(a[0] - b[0]) > EXACT_TOL or abs(a[1] - b[1]) > EXACT_TOL
-        for a, b in zip(v1, v2)
-    ):
+    covers them all and needs no cover phase.  A relation among a prefix is
+    one of the whole map, so every prefix must match too."""
+    v1, v2 = (sorted((v.real, v.imag) for v in f.entries.values()) for f in (f1, f2))
+    if len(v1) != len(v2) or any(abs(a - c) > EXACT_TOL or abs(b - d) > EXACT_TOL
+                                 for (a, b), (c, d) in zip(v1, v2)):
         return None
     try:
-        return _search(
-            f1, f2, sorted(f1.entries), None, EXACT_TOL, DEFAULT_WEIGHT_CAP,
-            _Budget(node_budget),
-            accept=lambda gs, hs: relations_match(gs, f1.group, hs, f2.group),
-        )
+        pairs = _search(f1, f2, sorted(f1.entries), None, EXACT_TOL, _Budget(node_budget),
+                        lambda gs, hs: relations_match(gs, f1.group, hs, f2.group))
     except BudgetError:
         return None
+    return None if pairs is None else PartialIso(pairs, DEFAULT_WEIGHT_CAP)
 
 
 def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[float]:
@@ -306,8 +297,7 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     vals2 = [abs(v) for v in f2.entries.values()]
     eps_max = max(vals1 + vals2, default=0.0)
     cands = {1.0 / m for m in range(1, weight_cap + 1)}
-    cands.update(vals1)
-    cands.update(vals2)
+    cands.update(vals1, vals2)
     cands.update(abs(v - w) for v in f1.entries.values() for w in f2.entries.values())
     floor = max(f1.truncation, f2.truncation)
     out = sorted(c for c in cands if floor < c <= eps_max + 1e-15)

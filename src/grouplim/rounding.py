@@ -25,10 +25,9 @@ def randomized_round(f: DenseFn, seed: int) -> DenseFn:
     """Independent Bernoulli rounding: each output value is 1 with
     probability f(a), deterministically given the seed."""
     check_seed(seed)
-    vals = f.values
-    if np.max(np.abs(vals.imag), initial=0.0) > 1e-12:
+    if not f.is_real():
         raise ValidationError("randomized_round expects a real-valued function")
-    p = vals.real
+    p = f.values.real
     if p.min(initial=0.0) < -1e-12 or p.max(initial=0.0) > 1 + 1e-12:
         raise ValidationError("values must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)

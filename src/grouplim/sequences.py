@@ -126,8 +126,7 @@ def value_histogram(
     if bins < 1:
         raise ValidationError("need at least one bin")
     vals = f.values
-    real = bool(np.max(np.abs(vals.imag), initial=0.0) <= 1e-12)
-    if real:
+    if f.is_real():
         x = vals.real
         lo, hi = range_re if range_re else (float(x.min()), float(x.max()))
         if hi <= lo:

@@ -42,9 +42,8 @@ def dft(f: DenseFn) -> SparseFn:
     the full l2 mass is preserved in declared_l2 for Parseval accounting."""
     spec = spectrum_array(f)
     dual = f.group.dual()
-    entries = {}
-    for idx in np.nonzero(np.abs(spec) > TRUNCATION)[0]:
-        entries[dual.elem_at(int(idx))] = complex(spec[idx])
+    nz = np.nonzero(np.abs(spec) > TRUNCATION)[0]
+    entries = dict(zip(map(tuple, dual.coord_array()[nz].tolist()), spec[nz].tolist()))
     return SparseFn(dual, entries, declared_l2=f.l2_norm(), truncation=TRUNCATION)
 
 

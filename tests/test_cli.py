@@ -421,6 +421,15 @@ def test_bad_seed_and_sample_count_exit_1(capsys, dense_file):
         assert capsys.readouterr().out == ""
 
 
+def test_huge_sample_count_exits_2_before_drawing(capsys, monkeypatch, dense_file):
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: pytest.fail("drew samples"))
+    argv = ["density", "--config", "ap3", "--fn", dense_file, "--method", "mc",
+            "--monte-carlo", "1000000000000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over budget" in captured.err
+
+
 def test_non_finite_json_is_rejected(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}')
@@ -574,7 +583,8 @@ def _command_argv(draw, files, command):
                  _opt("--weight-cap", cap), _req("--budget", budget)],
         "density": [_req("--config", config), _req("--fn", fn),
                     _opt("--method", _pick(["brute", "fourier", "mc"], ["x"])),
-                    _req("--monte-carlo", _pick(["1", "50"], ["0", "-1"])), _opt("--seed", seed)],
+                    _req("--monte-carlo", _pick(["1", "50"], ["0", "-1", "1000000000000"])),
+                    _opt("--seed", seed)],
         "cs1": [_req("--config", config)],
         "round": [_req("--fn", fn), _req("--seed", seed),
                   _opt("--best-of", _pick(["1", "4"], ["0", "-1", str(2**16 + 1)])),

@@ -1,5 +1,6 @@
 """Linear configurations and their density routes."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,25 @@ def test_monte_carlo_is_consistent_and_reproducible():
     assert abs(est1 - exact) <= 5 * se + 1e-12
 
 
+@pytest.mark.parametrize("moduli", [[31], [2, 6], [2, 3, 5]])
+@pytest.mark.parametrize("name", ["ap3", "parallelogram"])
+def test_monte_carlo_peak_is_within_its_counted_entries(moduli, name):
+    G, cfg = make_group(moduli), builtin_config(name)
+    f = random_dense(G, seed=6)
+    with pytest.raises(BudgetError, match="10000000000 samples hold") as err:
+        density_monte_carlo(cfg, f, samples=10**10)
+    per_sample = int(str(err.value).split(" hold ")[1].split()[0]) // 10**10
+    samples = 20000
+    density_monte_carlo(cfg, f, samples=samples)
+    tracemalloc.start()
+    try:
+        density_monte_carlo(cfg, f, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * per_sample * samples
+
+
 def test_brute_budget_guard():
     G = make_group([64])
     cfg = graph_config([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -250,7 +270,7 @@ def test_dual_lattice_over_budget_raises_before_enumerating(monkeypatch):
 
 def test_dual_lattice_over_its_entry_budget_raises_before_enumerating(monkeypatch):
     # K5 on Z_30 has 2 * 30^5 = 48.6 M points, under the default budget, but
-    # its coordinate stack and (S, 10) result hold 972 M int64 entries
+    # enumerating them is counted as (2k + 1) S = 1 020.6 M int64 entries
     def fail(*args):
         raise AssertionError("enumerated a solution group")
 
@@ -258,8 +278,24 @@ def test_dual_lattice_over_its_entry_budget_raises_before_enumerating(monkeypatc
     k5 = _complete_graph(5)
     points = 2 * 30**5
     assert points < linconfig.DENSITY_BUDGET
-    with pytest.raises(BudgetError, match=f"has {points} points.* {points * 20} int64 entries"):
+    with pytest.raises(BudgetError, match=f"has {points} points.* {points * 21} int64 entries"):
         dual_constraint_solutions(k5, make_group([30]))
+
+
+@pytest.mark.parametrize("moduli", [[12], [2, 6], [3, 4]])
+def test_dual_lattice_peak_is_within_its_counted_entries(moduli):
+    k5, G = _complete_graph(5), make_group(moduli)
+    sols = dual_constraint_solutions(k5, G)
+    entries = len(sols) * (2 * k5.size + 1)
+    with pytest.raises(BudgetError, match=f" {entries} int64 entries"):
+        dual_constraint_solutions(k5, G, budget=entries - 1)
+    tracemalloc.start()
+    try:
+        dual_constraint_solutions(k5, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * entries
 
 
 def test_cs_complexity_classifications():

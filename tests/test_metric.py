@@ -159,6 +159,14 @@ def test_crt_pullback_is_exact_zero_within_small_budget():
     assert (b.lo, b.hi, b.exact, b.budget_exceeded) == (0.0, 0.0, True, False)
 
 
+def test_crt_pullback_is_exact_zero_within_ten_nodes():
+    # the exact pass prunes each prefix by its relation lattice, so it
+    # walks straight to the witness
+    f = random_dense(make_group([6]), seed=12)
+    b = d_metric(f, _crt_pullback(f, 2, 3), node_budget=10)
+    assert (b.lo, b.hi, b.exact, b.budget_exceeded) == (0.0, 0.0, True, False)
+
+
 @st.composite
 def _exact_pass_inputs(draw):
     """A pair of spectra for the exact pass and whether an exact witness
@@ -242,10 +250,11 @@ def test_exists_eps_iso_rejects_nonpositive_weight(monkeypatch, weight):
 
 def test_exhausted_budget_is_reported_not_a_precision_error():
     # the two spectra agree up to float noise, far below the truncation
-    # threshold; such differences are not candidate eps values
+    # threshold; such differences are not candidate eps values.  The exact
+    # pass needs 7 nodes, so it cannot finish within 5
     f = random_dense(make_group([6]), seed=12)
     try:
-        b = d_metric(f, _crt_pullback(f, 2, 3), node_budget=10)
+        b = d_metric(f, _crt_pullback(f, 2, 3), node_budget=5)
     except BudgetError:
         return
     assert b.budget_exceeded
