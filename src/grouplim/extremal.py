@@ -34,9 +34,9 @@ NONMONOTONE_WINDOW = 10
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
-# bound on the bytes one _project_rows or _objective call allocates: the
-# pool of runs takes at most _call_rows rows per call
-CALL_BYTES = 1 << 19
+# bound on the bytes (2 MiB) one _project_rows or _objective call
+# allocates: the pool of runs takes at most _call_rows rows per call
+CALL_BYTES = 1 << 21
 
 
 @dataclass
@@ -49,7 +49,7 @@ class OptResult:
     # how the runs went: per run (constant start first) its iterations,
     # rejected Armijo trial steps and final projected-gradient norm; per
     # call the rows of the _pgd pool, _objective calls and rows those
-    # evaluated, one per start and per trial step
+    # evaluated, one per start and per trial step, and rows projected
     stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -120,17 +120,21 @@ def _project_rows(V: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     The projection is clip(v - tau, 0, 1) for the shift tau at which
     m(tau) = sum clip(v_i - tau, 0, 1) equals N*delta.  m is nonincreasing
     and piecewise linear with knots at v_i - 1, where coordinate i turns
-    free, and at v_i, where it clips to 0.  One sort of each row's 2N knots
-    and prefix sums of the slopes give m at every knot.  The last knot t
-    with m(t) >= N*delta splits the coordinates: v_i - 1 > t clip to 1,
-    v_i <= t clip to 0, the rest are free, and tau solves the linear
-    equation on the free ones.  O(N log N) per row, exact up to rounding."""
+    free, and at v_i, where it clips to 0.  Each row's values are sorted
+    once, which sorts both knot families; one stable argsort merges the
+    two sorted halves, and prefix sums of the slopes give m at every knot.
+    The last knot t with m(t) >= N*delta splits the coordinates: v_i - 1 >
+    t clip to 1, v_i <= t clip to 0, the rest are free, and tau solves the
+    linear equation on the free ones.  O(N log N) per row, exact up to
+    rounding."""
     R, n = V.shape
     target = n * deltas
     knots = np.empty((R, 2 * n))
-    np.subtract(V, 1.0, out=knots[:, :n])
     knots[:, n:] = V
-    order = np.argsort(knots, axis=1)
+    knots[:, n:].sort(axis=1)
+    # v - 1 is monotone in v in floating point too, so this half is sorted
+    np.subtract(knots[:, n:], 1.0, out=knots[:, :n])
+    order = np.argsort(knots, axis=1, kind="stable")
     enters = order < n
     order += 2 * n * np.arange(R)[:, None]
     t = knots.ravel()[order]
@@ -147,7 +151,7 @@ def _project_rows(V: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     # m is monotone in floating point too (every drop is nonnegative), so
     # the last knot with m >= target ends a run of tied knots
     t_last = t[np.arange(R), (m >= target[:, None]).sum(axis=1)][:, None]
-    one = knots[:, :n] > t_last
+    one = V - 1.0 > t_last
     free = ~one & (V > t_last)
     n_free = np.maximum(free.sum(axis=1), 1)
     tau = (V.sum(axis=1, where=free) + one.sum(axis=1) - target) / n_free
@@ -179,8 +183,9 @@ def _row_bytes(sols: np.ndarray, n: int) -> int:
     index, complex gathered value and leave-one-out product, and float64
     bincount weight) and 80 per coordinate (FFT inputs and outputs).  A
     _project_rows row holds under 104 per coordinate (the (R, 2N) knots,
-    their sort order and the sorted knots), and a _pgd row projects two
-    rows in one call: its gradient step and its trial point."""
+    their merge order, the merged knots and the slopes between them), and
+    a _pgd row projects at most two rows in one call: its gradient step
+    and its trial point."""
     return max(48 * sols.size + 80 * n, 2 * 104 * n)
 
 
@@ -194,8 +199,8 @@ class _History:
     """What one _pgd pool did: per pool iteration the runs that entered or
     accepted a step, with their new values; per run the pool iteration it
     entered at, its accepted steps, its rejected Armijo trial steps, its
-    final value and projected gradient norm; also the _objective calls and
-    the rows they evaluated."""
+    final value and projected gradient norm; also the _objective calls, the
+    rows they evaluated and the rows _project_rows projected."""
     accepted: list[tuple[np.ndarray, np.ndarray]]
     entered: np.ndarray
     iterations: np.ndarray
@@ -204,6 +209,7 @@ class _History:
     grad_norms: np.ndarray
     objective_calls: int = 0
     rows_evaluated: int = 0
+    rows_projected: int = 0
 
 
 def _pgd(
@@ -228,13 +234,16 @@ def _pgd(
     next pool iteration; start(i) is called only then.
 
     A pool iteration tries one step per row.  One _project_rows call gives
-    every row its projected gradient, for the stopping test, and its trial
-    point, and projects the starts of the entering runs; one _objective
-    call evaluates the trials of the rows that go on, together with the
-    entering starts.  A row whose trial fails Armijo halves its step and
-    tries again at the next pool iteration from the same point, so it
-    passes the same stopping test again.  Rows are computed independently
-    of each other, so each run matches its serial run bit for bit.
+    every row at a new point (entered or moved at the last pool iteration)
+    its projected gradient, for the stopping test, gives every row its
+    trial point, and projects the starts of the entering runs; one
+    _objective call evaluates the trials of the rows that go on, together
+    with the entering starts.  A row whose trial fails Armijo halves its
+    step and tries again at the next pool iteration from the same point
+    and gradient, so it keeps its projected-gradient norm and passes the
+    same stopping test without projecting again.  Rows are computed
+    independently of each other, so each run matches its serial run bit
+    for bit.
 
     Run i competes for slots[i]; returns, per slot in order, its best run
     (least value, ties to the lower run) and that run's final point, the
@@ -247,7 +256,9 @@ def _pgd(
     # state of the active rows: runs enter in order and are appended,
     # stopped rows are dropped
     rows = np.zeros(0, dtype=np.int64)
-    dl, vals, step = np.zeros(0), np.zeros(0), np.zeros(0)
+    # pg is a row's projected-gradient norm, nan until it is computed at
+    # the row's current point
+    dl, vals, step, pg = np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
     F, grad = np.zeros((0, n)), np.zeros((0, n))
     recent = np.zeros((0, NONMONOTONE_WINDOW))
     pending, t = 0, 0
@@ -255,14 +266,17 @@ def _pgd(
         m = rows.size
         new = np.arange(pending, min(runs, pending + width - m))
         pending += new.size
-        parts = [F - grad, F - step[:, None] * grad]
+        need_pg = np.flatnonzero(np.isnan(pg))
+        parts = [F[need_pg] - grad[need_pg], F - step[:, None] * grad]
         if new.size:
             parts.append(np.stack([start(i) for i in new.tolist()]))
-        proj = _project_rows(np.concatenate(parts), np.concatenate([dl, dl, deltas[new]]))
-        pg = F - proj[:m]
-        pg = np.sqrt(_rowdot(pg, pg))
+        proj = _project_rows(np.concatenate(parts),
+                             np.concatenate([dl[need_pg], dl, deltas[new]]))
+        h.rows_projected += len(proj)
+        d = F[need_pg] - proj[:need_pg.size]
+        pg[need_pg] = np.sqrt(_rowdot(d, d))
         # the trials of the rows that go on, then the entering starts
-        c = proj[m:]
+        c = proj[need_pg.size:]
         stop = (pg <= grad_tol) | (h.iterations[rows] >= max_iter) | (step <= 1e-16)
         if stop.any():
             stopped, keep = np.flatnonzero(stop), ~stop
@@ -274,7 +288,7 @@ def _pgd(
                                                                best[slot][0]):
                     best[slot] = (run, F[j].copy())
             rows, dl, F, grad = rows[keep], dl[keep], F[keep], grad[keep]
-            vals, step, recent = vals[keep], step[keep], recent[keep]
+            vals, step, pg, recent = vals[keep], step[keep], pg[keep], recent[keep]
             c = np.concatenate([c[:m][keep], c[m:]])
         if len(c):
             cv, cg = _objective(c, sols, group)
@@ -294,7 +308,7 @@ def _pgd(
                         SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
                 SPECTRAL_STEP_MAX,
             )
-            F[acc], vals[acc], grad[acc] = c[acc], cv[acc], cg[acc]
+            F[acc], vals[acc], grad[acc], pg[acc] = c[acc], cv[acc], cg[acc], np.nan
             moved = rows[acc]
             h.iterations[moved] += 1
             # column j of a run's window holds its values after j, j + 10,
@@ -308,6 +322,7 @@ def _pgd(
             F, grad = np.concatenate([F, c[k:]]), np.concatenate([grad, cg[k:]])
             vals = np.concatenate([vals, cv[k:]])
             step = np.concatenate([step, np.full(new.size, ARMIJO_INIT_STEP)])
+            pg = np.concatenate([pg, np.full(new.size, np.nan)])
             recent = np.concatenate([recent, fresh])
             h.entered[new] = t
         t += 1
@@ -351,7 +366,8 @@ def _minimize_grid(
                    max_iter, grad_tol)
     stats = {"iterations": h.iterations.tolist(), "backtracks": h.backtracks.tolist(),
              "grad_norms": h.grad_norms.tolist(), "pool_rows": _call_rows(sols, n),
-             "objective_calls": h.objective_calls, "rows_evaluated": h.rows_evaluated}
+             "objective_calls": h.objective_calls, "rows_evaluated": h.rows_evaluated,
+             "rows_projected": h.rows_projected}
     return [(f, float(h.values[i]), float(h.grad_norms[i]), _row_trace(h, i))
             for i, f in best], stats
 

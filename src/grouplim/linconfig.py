@@ -151,9 +151,23 @@ def form_products(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _form_indices(config: ConfigSystem, group: GroupSpec, var_idx: np.ndarray) -> np.ndarray:
     """Flat element index of every form at each assignment: var_idx is
-    (L, n) element indices of the variables, the result is (L, k)."""
-    lam = np.array(config.matrix(), dtype=np.int64)
-    return group.flat_index(lam @ group.coord_array()[var_idx])
+    (L, n) element indices of the variables, the result is (L, k).  The
+    forms are evaluated one coordinate factor at a time, on the variables'
+    digits in that factor, and folded in as mixed-radix digits, the first
+    factor slowest."""
+    lam_t = np.array(config.matrix(), dtype=np.int64).T
+    flat = np.zeros((len(var_idx), config.size), dtype=np.int64)
+    forms, digits = np.empty_like(flat), np.empty_like(var_idx)
+    stride = group.order
+    for m in group.moduli:
+        stride //= m
+        np.floor_divide(var_idx, stride, out=digits)
+        digits %= m
+        np.matmul(digits, lam_t, out=forms)
+        forms %= m
+        flat *= m
+        flat += forms
+    return flat
 
 
 def density_brute(
@@ -292,14 +306,18 @@ def density_monte_carlo(
 ) -> tuple[complex, float]:
     """Unbiased sampled estimate of the density with its standard error.
 
-    Every per-sample array built below, n + (n + k) rank + 3k + 6 int64-sized
-    entries per sample, is counted against DENSITY_BUDGET before drawing."""
+    Per sample the peak holds the variables' indices (n int64 entries)
+    and either their digits in one factor with the forms' flat indices and
+    values in that factor (n + 2k) or the forms' flat indices, gathered
+    complex values and complex product (3k + 2): at most 2n + 3k + 2
+    entries whatever the group's rank, counted against DENSITY_BUDGET
+    before drawing."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     check_seed(seed)
     Fs, group = _as_system(F, config.size, group)
     n, k = config.arity, config.size
-    entries = samples * (n + (n + k) * group.rank + 3 * k + 6)
+    entries = samples * (2 * n + 3 * k + 2)
     if entries > DENSITY_BUDGET:
         raise BudgetError(f"{samples} samples hold {entries} int64-sized entries, "
                           f"over budget {DENSITY_BUDGET}")

@@ -92,6 +92,32 @@ def test_project_rows_matches_bisection_oracle_row_by_row(data):
         assert abs(float(np.mean(u)) - delta) <= 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_project_rows_with_tied_knots_match_the_oracle_and_their_lone_rows(data):
+    # values drawn from a few bases shifted by whole units: repeated values
+    # tie their knots, and values exactly 1 apart put an enter knot (v - 1)
+    # on a leave knot (v); quarters keep those ties exact in floating point
+    n = data.draw(st.integers(1, 300))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        bases = data.draw(st.lists(st.one_of(st.integers(-8, 12).map(lambda q: q / 4),
+                                             st.floats(-3.0, 3.0)), min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(-1, 1)),
+                                   min_size=n, max_size=n))
+        rows.append(np.array([bases[b] + shift for b, shift in picks]))
+    # a mean of j/n makes the target n * delta an integer, as m is at knots
+    # that leave every coordinate clipped
+    deltas = np.array([data.draw(st.one_of(st.integers(0, n).map(lambda j: j / n),
+                                           st.floats(0.0, 1.0))) for _ in rows])
+    V = np.stack(rows)
+    U = _project_rows(V, deltas)
+    for i, (u, v, delta) in enumerate(zip(U, V, deltas)):
+        assert np.max(np.abs(u - project_box_mean_bisect(v, delta))) <= 1e-9
+        assert abs(float(np.mean(u)) - delta) <= 1e-9
+        assert np.array_equal(_project_rows(V[i:i + 1], deltas[i:i + 1])[0], u)
+
+
 @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 0.0], [],
                                [[0.2, 0.9], [0.4, 0.1]], 0.5])
 def test_projection_rejects_empty_non_finite_or_non_vector_input(v):
@@ -393,6 +419,8 @@ def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_ite
         results, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
         [(starts, row_deltas, (best, history))] = pools
         _assert_one_projection_per_pool_iteration(calls, history)
+        # the serial runs below project too
+        assert stats["rows_projected"] == sum(projected_rows)
         for i, (start, delta) in enumerate(zip(starts, row_deltas)):
             (f, val, gnorm, trace), n_values = _serial_counting_trials(mp, sols, G, start, delta,
                                                                        max_iter)
@@ -473,11 +501,13 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
 
 
 @pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),
-                                          ([3, 5], "ap3")])
+                                          ([3, 5], "ap3"), ([2003], "ap3")])
 def test_calls_allocate_within_the_byte_bound(moduli, name):
     G = make_group(moduli)
     sols = dual_constraint_solutions(builtin_config(name), G)
     rows = extremal._call_rows(sols, G.order)
+    # runs share a call even at large p
+    assert rows >= 2
     bound = rows * extremal._row_bytes(sols, G.order)
     assert bound <= extremal.CALL_BYTES
     U = np.random.default_rng(3).random((rows, G.order))
@@ -503,6 +533,11 @@ def test_minimize_stats_record_every_run():
     assert stats["pool_rows"] == extremal._call_rows(sols, 13)
     assert stats["rows_evaluated"] == sum(1 + i + b for i, b in zip(stats["iterations"],
                                                                    stats["backtracks"]))
+    # a run projects its start, its gradient step at each point it
+    # reaches, and each trial step; a rejected trial projects no new
+    # gradient step
+    assert stats["rows_projected"] == sum(3 + 2 * i + b for i, b in zip(stats["iterations"],
+                                                                       stats["backtracks"]))
     assert set(res.to_json()) == {"value", "grad_norm", "restarts_used", "f_star", "trace",
                                   "bound_kind"}
 

@@ -176,7 +176,8 @@ def test_monte_carlo_is_consistent_and_reproducible():
 
 
 @pytest.mark.parametrize("moduli", [[31], [2, 6], [2, 3, 5]])
-@pytest.mark.parametrize("name", ["ap3", "parallelogram"])
+@pytest.mark.parametrize("name", ["ap3", "parallelogram", "graph:0-1,0-2,0-3,1-2,1-3,2-3",
+                                  "graph:0-1,2-3,4-5"])
 def test_monte_carlo_peak_is_within_its_counted_entries(moduli, name):
     G, cfg = make_group(moduli), builtin_config(name)
     f = random_dense(G, seed=6)
