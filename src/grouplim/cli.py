@@ -168,7 +168,8 @@ def cmd_u2(fn_path, method):
               help="inputs are sparse spectra; compare with dhat directly")
 @click.option("--tight", is_flag=True, help="use the tight metric (adds the L2 norm gap)")
 @click.option("--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True,
+              help="search nodes per feasibility probe (not per bracket)")
 def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
     """Distance bracket between two functions (or two raw spectra)."""
     if raw_spectra:
@@ -316,7 +317,8 @@ def cmd_hom(graph_path, fn_path, do_verify):
 @click.option("--metric", type=click.Choice(["d", "dprime"]), default="d", show_default=True)
 @click.option("--tol", type=float, default=0.1, show_default=True)
 @click.option("--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True,
+              help="search nodes per feasibility probe (not per bracket)")
 @click.option("--out", "out_path", type=click.Path(), default=None, callback=_check_out)
 def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     """Pairwise distance table for a function sequence plus Cauchy check."""

@@ -34,8 +34,8 @@ NONMONOTONE_WINDOW = 10
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
-# bound on the bytes (2 MiB) one _project_rows or _objective call
-# allocates: the pool of runs takes at most _call_rows rows per call
+# bound on the bytes (2 MiB) the rows of one _project_rows or _objective
+# call allocate: the pool of runs takes at most _call_rows rows per call
 CALL_BYTES = 1 << 21
 
 
@@ -185,7 +185,10 @@ def _row_bytes(sols: np.ndarray, n: int) -> int:
     _project_rows row holds under 104 per coordinate (the (R, 2N) knots,
     their merge order, the merged knots and the slopes between them), and
     a _pgd row projects at most two rows in one call: its gradient step
-    and its trial point."""
+    and its trial point.  Each call also holds fixed temporaries of under
+    8 KiB whatever its rows (tracemalloc: 6 072 B to project one row of
+    7), so a call of R rows allocates under R * _row_bytes + 8 KiB; at the
+    pool's width on the workload's shapes the row term alone covers them."""
     return max(48 * sols.size + 80 * n, 2 * 104 * n)
 
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, PrecisionError, ValidationError
 from .functions import DenseFn, SparseFn
 from .groups import Elem, GroupSpec
@@ -292,18 +294,17 @@ def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[Partial
 def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[float]:
     """Sorted eps values at which feasibility can flip.  Values at or below
     either truncation threshold (float noise between matching spectra) are
-    left out: supp_eps cannot decide membership there."""
-    vals1 = [abs(v) for v in f1.entries.values()]
-    vals2 = [abs(v) for v in f2.entries.values()]
-    eps_max = max(vals1 + vals2, default=0.0)
-    cands = {1.0 / m for m in range(1, weight_cap + 1)}
-    cands.update(vals1, vals2)
-    cands.update(abs(v - w) for v in f1.entries.values() for w in f2.entries.values())
+    left out: supp_eps cannot decide membership there.  Magnitudes come
+    from np.hypot, which rounds as Python's abs of a complex does."""
+    v1, v2 = (np.fromiter(f.entries.values(), complex, len(f.entries)) for f in (f1, f2))
+    v, diffs = np.concatenate([v1, v2]), (v1[:, None] - v2[None, :]).ravel()
+    vals = np.hypot(v.real, v.imag)
+    eps_max = float(vals.max(initial=0.0))
+    cands = np.unique(np.concatenate([1.0 / np.arange(1, weight_cap + 1), vals,
+                                      np.hypot(diffs.real, diffs.imag)]))
     floor = max(f1.truncation, f2.truncation)
-    out = sorted(c for c in cands if floor < c <= eps_max + 1e-15)
-    # merge near-duplicates
     merged: list[float] = []
-    for c in out:
+    for c in cands[(cands > floor) & (cands <= eps_max + 1e-15)].tolist():
         if not merged or c - merged[-1] > EXACT_TOL:
             merged.append(c)
     if not merged or abs(merged[-1] - eps_max) > EXACT_TOL:
@@ -327,11 +328,16 @@ def dhat(
 ) -> DistBracket:
     """Bracket the dhat distance between two finitely supported functions.
 
-    Binary search over the sorted critical candidates locates the adjacent
-    (infeasible, feasible) pair; feasibility at candidate eps is decided at
-    weight min(ceil(1/eps), weight_cap), and any probe run under a binding
-    cap or exhausted budget flags the bracket instead of being reported as
-    exact."""
+    Feasibility at a critical candidate eps is probed at weight
+    min(ceil(1/eps), weight_cap), each probe with its own node_budget.  A
+    bisection over the n sorted candidates tracks the largest index shown
+    infeasible (lo) and the least shown feasible (hi).  A probe that runs
+    out of budget decides nothing: the search goes on above it, and then
+    bisects once below the lowest such probe, moving down past further
+    ones, so a bracket takes at most 2 * ceil(log2 n) + 1 probes, and
+    without such a probe exactly those of the plain bisection.  A binding
+    cap sets weight_capped, an exhausted probe budget_exceeded, and either
+    keeps the bracket from being reported exact."""
     check_search_limits(weight_cap, node_budget)
     if not f1.entries and not f2.entries:
         return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
@@ -341,72 +347,54 @@ def dhat(
         return DistBracket(0.0, 0.0, witness=exact_iso, exact=True)
 
     cands = _critical_candidates(f1, f2, weight_cap)
+    # bad: largest index verified infeasible; good: least verified feasible
+    bad, good, witness, capped, unknown = -1, None, None, False, []
 
-    # status per candidate: (feasible?, capped?, witness) or BudgetError
-    results: dict[int, tuple[Optional[bool], bool, Optional[PartialIso]]] = {}
-    any_budget = False
-
-    def probe(i: int):
-        nonlocal any_budget
-        if i in results:
-            return results[i]
+    def probe(i: int) -> Optional[bool]:
+        nonlocal bad, good, witness, capped
         eps = cands[i]
         req_weight = max(1, math.ceil(1.0 / eps - 1e-12))
-        capped = req_weight > weight_cap
-        weight = min(req_weight, weight_cap)
         try:
-            wit = exists_eps_iso(f1, f2, eps, weight=weight, node_budget=node_budget)
-            res = (wit is not None, capped, wit)
+            wit = exists_eps_iso(f1, f2, eps, weight=min(req_weight, weight_cap),
+                                 node_budget=node_budget)
         except BudgetError:
-            any_budget = True
-            res = (None, capped, None)
-        results[i] = res
-        return res
+            unknown.append(i)
+            return None
+        if wit is None:
+            bad = i
+        else:
+            good, witness, capped = i, wit, req_weight > weight_cap
+        return wit is not None
 
     probe(len(cands) - 1)
-    # binary search: find smallest feasible index, assuming monotonicity
+    # bisect for the least feasible index; an unknown probe sends the
+    # search above it, where supports are smaller and probes cheaper
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        f_mid, _, _ = probe(mid)
-        if f_mid is True:
+        if probe(mid):
             hi = mid
-        elif f_mid is False:
+        else:
+            lo = mid + 1
+    # then bisect once below the lowest unknown probe left above bad for
+    # the largest infeasible index, moving down past unknown probes
+    top = len(cands) if good is None else good
+    lo, hi = bad + 1, min((u for u in unknown if bad < u < top), default=bad + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if probe(mid) is False:
             lo = mid + 1
         else:
-            # unknown probe: abandon bisection, scan everything
-            for j in range(len(cands)):
-                probe(j)
-            break
+            hi = mid
 
-    feasible = [i for i, (f, _, _) in results.items() if f is True]
-    if not feasible:
+    if good is None:
         raise BudgetError("could not verify feasibility at any candidate eps within budget")
-    hi_i = min(feasible)
-    _, hi_capped, hi_wit = results[hi_i]
-    hi_val = cands[hi_i]
-
-    def infeasible(j: int) -> bool:
-        return j in results and results[j][0] is False
-
-    # lo is the candidate just below hi when that one was verified
-    # infeasible; otherwise only the leading run of verified-infeasible
-    # candidates is trusted
-    top = hi_i
-    if not infeasible(hi_i - 1):
-        top = 0
-        while infeasible(top):
-            top += 1
-    lo_val = cands[top - 1] if top else 0.0
-    exact = (hi_val - lo_val) <= EXACT_TOL and not hi_capped and not any_budget
-    return DistBracket(
-        lo=lo_val,
-        hi=hi_val,
-        witness=hi_wit,
-        exact=exact,
-        weight_capped=hi_capped,
-        budget_exceeded=any_budget,
-    )
+    # feasibility is monotone in eps, so every candidate up to bad is infeasible
+    lo_val = cands[bad] if bad >= 0 else 0.0
+    hi_val = cands[good]
+    exact = (hi_val - lo_val) <= EXACT_TOL and not capped and not unknown
+    return DistBracket(lo=lo_val, hi=hi_val, witness=witness, exact=exact,
+                       weight_capped=capped, budget_exceeded=bool(unknown))
 
 
 def d_metric(

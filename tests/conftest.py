@@ -133,6 +133,26 @@ def exact_iso_oracle(
         return None
 
 
+def critical_candidates_oracle(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[float]:
+    """Oracle for metric._critical_candidates: the candidate set built
+    with Python's abs in a set comprehension, filtered, sorted and merged
+    within EXACT_TOL, with the top candidate the largest magnitude."""
+    vals1 = [abs(v) for v in f1.entries.values()]
+    vals2 = [abs(v) for v in f2.entries.values()]
+    eps_max = max(vals1 + vals2, default=0.0)
+    cands = {1.0 / m for m in range(1, weight_cap + 1)}
+    cands.update(vals1, vals2)
+    cands.update(abs(v - w) for v in f1.entries.values() for w in f2.entries.values())
+    floor = max(f1.truncation, f2.truncation)
+    merged: list[float] = []
+    for c in sorted(c for c in cands if floor < c <= eps_max + 1e-15):
+        if not merged or c - merged[-1] > EXACT_TOL:
+            merged.append(c)
+    if not merged or abs(merged[-1] - eps_max) > EXACT_TOL:
+        merged = [c for c in merged if c < eps_max] + [eps_max]
+    return merged
+
+
 def kernel_mod_m_closure(rows, k, m):
     """Oracle for intlattice.kernel_mod_m: all solutions r in (Z_m)^k of
     (rows) r = 0 mod m, as the sorted list of tuples of the subgroup

@@ -257,8 +257,8 @@ def test_criterion_5_metric_vs_exhaustive_oracle():
 
 @pytest.mark.parametrize("node_budget", [20, 200])
 def test_starved_brackets_contain_the_oracle_infimum(node_budget):
-    # budgets this small leave candidates unprobed or undecided, so lo
-    # falls back to the leading run of verified-infeasible candidates
+    # budgets this small leave some probes undecided, so lo is the largest
+    # candidate verified infeasible, which need not sit just below hi
     groups = [make_group(m)
               for m in ([6], [8], [12], [2, 4], [10], [9], [7], [2, 6])]
     rng = np.random.default_rng(606)

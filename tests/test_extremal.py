@@ -501,26 +501,29 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
 
 
 @pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),
-                                          ([3, 5], "ap3"), ([2003], "ap3")])
+                                          ([3, 5], "ap3"), ([2003], "ap3"), ([7], "ap3")])
 def test_calls_allocate_within_the_byte_bound(moduli, name):
     G = make_group(moduli)
     sols = dual_constraint_solutions(builtin_config(name), G)
-    rows = extremal._call_rows(sols, G.order)
+    width = extremal._call_rows(sols, G.order)
     # runs share a call even at large p
-    assert rows >= 2
-    bound = rows * extremal._row_bytes(sols, G.order)
-    assert bound <= extremal.CALL_BYTES
-    U = np.random.default_rng(3).random((rows, G.order))
-    for call, args in ((_project_rows, (np.concatenate([U, U]), np.full(2 * rows, 0.4))),
-                       (extremal._objective, (U, sols, G))):
-        call(*args)
-        tracemalloc.start()
-        try:
+    assert width >= 2
+    assert width * extremal._row_bytes(sols, G.order) <= extremal.CALL_BYTES
+    # at the pool's width the rows' own bytes cover the fixed temporaries;
+    # a one-row call may need the 8 KiB they add on top
+    for rows, fixed in ((width, 0), (1, 8 << 10)):
+        bound = rows * extremal._row_bytes(sols, G.order) + fixed
+        U = np.random.default_rng(3).random((rows, G.order))
+        for call, args in ((_project_rows, (np.concatenate([U, U]), np.full(2 * rows, 0.4))),
+                           (extremal._objective, (U, sols, G))):
             call(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+            tracemalloc.start()
+            try:
+                call(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
 
 
 def test_minimize_stats_record_every_run():

@@ -23,6 +23,7 @@ from grouplim.metric import (
 )
 from grouplim.spectral import dft
 from conftest import (
+    critical_candidates_oracle,
     exact_iso_oracle,
     random_dense,
     random_sparse,
@@ -266,6 +267,84 @@ def test_supp_eps_support_bound_violation_is_a_precision_error():
                  declared_l2=1 - 5e-10)
     with pytest.raises(PrecisionError, match="support bound violated"):
         supp_eps(f, 0.1 * (1 - 1e-12))
+
+
+def _spectrum_pairs():
+    """Pairs of functions whose candidate lists the oracle checks: DFTs of
+    complex, real and [0, 1]-valued functions (conjugate symmetry repeats
+    their magnitudes), identical and CRT-isomorphic spectra (differences
+    of float noise below the truncation), sparse functions and one empty
+    function."""
+    z12, z2z6, z31 = make_group([12]), make_group([2, 6]), make_group([31])
+    f = random_dense(z12, seed=1)
+    yield dft(f), dft(_crt_pullback(f, 3, 4))
+    yield dft(f), dft(f)
+    for G, seed in ((z12, 2), (z2z6, 3), (z31, 4)):
+        for kind in ({}, {"real": True}, {"box": True}):
+            yield dft(random_dense(G, seed, **kind)), dft(random_dense(G, seed + 50, **kind))
+    yield random_sparse(z12, seed=5, size=6), random_sparse(make_group([2, 4]), seed=6, size=4)
+    yield SparseFn(z12, {}), random_sparse(z12, seed=7, size=3)
+
+
+@pytest.mark.parametrize("weight_cap", [1, 12, 40])
+def test_critical_candidates_match_the_set_oracle(weight_cap):
+    for f1, f2 in _spectrum_pairs():
+        assert (metric._critical_candidates(f1, f2, weight_cap)
+                == critical_candidates_oracle(f1, f2, weight_cap))
+
+
+@pytest.mark.parametrize("moduli, seed, node_budget", [([8], 1, 30), ([2, 4], 2, 30),
+                                                       ([9], 3, 300)])
+def test_starved_bracket_makes_logarithmically_many_probes(monkeypatch, moduli, seed,
+                                                           node_budget):
+    # each of these brackets runs out of budget on some probe; it must
+    # still take O(log n) probes over its n candidates, not all n
+    G = make_group(moduli)
+    s1, s2 = dft(random_dense(G, seed)), dft(random_dense(G, seed + 100))
+    n = len(metric._critical_candidates(s1, s2, metric.DEFAULT_WEIGHT_CAP))
+    probes = []
+    search = metric.exists_eps_iso
+    monkeypatch.setattr(metric, "exists_eps_iso",
+                        lambda *a, **k: probes.append(a[2]) or search(*a, **k))
+    b = dhat(s1, s2, node_budget=node_budget)
+    assert b.budget_exceeded and b.lo <= b.hi
+    assert len(probes) <= 2 * math.ceil(math.log2(n)) + 1 < n
+    assert len(set(probes)) == len(probes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 200), data=st.data())
+def test_bisection_past_unknown_probes_stays_certified(n, data):
+    # candidates 1..n, feasible from index first on, and any set of
+    # indices whose probe runs out of budget
+    first = data.draw(st.integers(0, n - 1))
+    unknown = data.draw(st.sets(st.integers(0, n - 1)))
+    probes = []
+
+    def probe(f1, f2, eps, weight, node_budget):
+        probes.append(int(eps) - 1)
+        if probes[-1] in unknown:
+            raise BudgetError("out of nodes")
+        return PartialIso((), weight) if probes[-1] >= first else None
+
+    f = SparseFn(make_group([2]), {(1,): 1.0})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_critical_candidates", lambda *a: [float(i + 1) for i in range(n)])
+        mp.setattr(metric, "_exact_iso", lambda *a: None)
+        mp.setattr(metric, "exists_eps_iso", probe)
+        try:
+            b = dhat(f, f)
+        except BudgetError:
+            b = None
+    assert len(probes) <= 2 * math.ceil(math.log2(n)) + 1
+    assert len(set(probes)) == len(probes)
+    if b is None:
+        assert all(i in unknown for i in probes if i >= first)
+        return
+    assert b.lo <= first < b.hi  # lo = cands[bad] <= cands[first - 1], hi >= cands[first]
+    assert b.budget_exceeded == any(i in unknown for i in probes)
+    if not b.budget_exceeded:
+        assert (b.lo, b.hi) == (float(first), float(first + 1))
 
 
 def test_dhat_is_symmetric():
