@@ -76,8 +76,11 @@ def _check_out(ctx, param, path):
 
 
 def _csv_text(header: list, rows) -> str:
+    rows = [header, *rows]
+    if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
+        raise ValidationError("the table holds a non-finite number; an input may be too large")
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *rows])
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -141,7 +144,11 @@ def _emit(ctx, result, **_group_params):
         return
     payload, meta = result
     payload["meta"] = {"version": __version__, "timing_s": time.monotonic() - ctx.obj, **meta}
-    click.echo(json.dumps(payload, sort_keys=True, allow_nan=False))
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValidationError("the result holds a non-finite number; an input may be too large")
+    click.echo(text)
 
 
 @cli.command("dft")

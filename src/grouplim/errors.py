@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all grouplim modules."""
 
+import numbers
+
 
 class GrouplimError(Exception):
     """Base class for all errors raised by grouplim."""
@@ -23,6 +25,14 @@ class BudgetError(GrouplimError):
     Distinguishable from a definite negative answer: the search was cut
     short, nothing is known about the remainder.
     """
+
+
+def check_int(value, what: str) -> int:
+    """value as an int if it is an integer, refusing a bool (JSON's true
+    and false) and every float, so that nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be integers, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed: int, bits: int = 128) -> None:

@@ -197,24 +197,6 @@ def _call_rows(sols: np.ndarray, n: int) -> int:
     return max(1, CALL_BYTES // _row_bytes(sols, n))
 
 
-@dataclass
-class _History:
-    """What one _pgd pool did: per pool iteration the runs that entered or
-    accepted a step, with their new values; per run the pool iteration it
-    entered at, its accepted steps, its rejected Armijo trial steps, its
-    final value and projected gradient norm; also the _objective calls, the
-    rows they evaluated and the rows _project_rows projected."""
-    accepted: list[tuple[np.ndarray, np.ndarray]]
-    entered: np.ndarray
-    iterations: np.ndarray
-    backtracks: np.ndarray
-    values: np.ndarray
-    grad_norms: np.ndarray
-    objective_calls: int = 0
-    rows_evaluated: int = 0
-    rows_projected: int = 0
-
-
 def _pgd(
     sols: np.ndarray,
     group: GroupSpec,
@@ -223,7 +205,7 @@ def _pgd(
     slots: np.ndarray,
     max_iter: int,
     grad_tol: float,
-) -> tuple[list[tuple[int, np.ndarray]], _History]:
+) -> tuple[list[tuple[int, np.ndarray, float, float, list[tuple[int, float]]]], dict]:
     """Projected gradient descent for runs i = 0, 1, ... at the means
     deltas[i], from the starts start(i), in one pool of _call_rows rows
     advanced in lockstep.
@@ -236,107 +218,87 @@ def _pgd(
     A stopped run frees its row, and the next pending run enters it at the
     next pool iteration; start(i) is called only then.
 
-    A pool iteration tries one step per row.  One _project_rows call gives
-    every row at a new point (entered or moved at the last pool iteration)
-    its projected gradient, for the stopping test, gives every row its
-    trial point, and projects the starts of the entering runs; one
-    _objective call evaluates the trials of the rows that go on, together
-    with the entering starts.  A row whose trial fails Armijo halves its
-    step and tries again at the next pool iteration from the same point
-    and gradient, so it keeps its projected-gradient norm and passes the
-    same stopping test without projecting again.  Rows are computed
-    independently of each other, so each run matches its serial run bit
-    for bit.
+    A run enters as an ordinary row at its raw start with a zero gradient,
+    at iteration -1: its first trial point is its projected start, taken
+    without an Armijo test, and its step stays ARMIJO_INIT_STEP.
+    A pool iteration tries one step per row: one _project_rows call gives
+    every row at a new point its projected gradient, for the stopping
+    test, and every row its trial point; one _objective call evaluates the
+    trials of the rows that go on.  A row whose trial fails Armijo halves
+    its step and tries again from the same point, keeping its stopping
+    test.  Rows are computed independently of each other, so each run
+    matches its serial run bit for bit.
 
-    Run i competes for slots[i]; returns, per slot in order, its best run
-    (least value, ties to the lower run) and that run's final point, the
-    only point kept, and the _History (see _row_trace)."""
+    Run i competes for slots[i].  Returns, per slot in order, its best run
+    (least value, ties to the lower run) as (run, final point, value,
+    projected-gradient norm, (iteration, value) trace), the only point and
+    trace kept after a run stops, and the stats of OptResult."""
     runs, n = len(deltas), group.order
     width = _call_rows(sols, n)
-    h = _History([], np.zeros(runs, dtype=np.int64), np.zeros(runs, dtype=np.int64),
-                 np.zeros(runs, dtype=np.int64), np.empty(runs), np.empty(runs))
-    best: dict[int, tuple[int, np.ndarray]] = {}
-    # state of the active rows: runs enter in order and are appended,
-    # stopped rows are dropped
-    rows = np.zeros(0, dtype=np.int64)
-    # pg is a row's projected-gradient norm, nan until it is computed at
-    # the row's current point
-    dl, vals, step, pg = np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
-    F, grad = np.zeros((0, n)), np.zeros((0, n))
-    recent = np.zeros((0, NONMONOTONE_WINDOW))
-    pending, t = 0, 0
+    # per run: accepted steps (-1 before its start is evaluated), rejected
+    # trial steps, value, step, and projected-gradient norm (nan until known)
+    iters, backtracks = np.full(runs, -1), np.zeros(runs, dtype=np.int64)
+    values, steps, pgs = np.zeros(runs), np.full(runs, ARMIJO_INIT_STEP), np.full(runs, np.inf)
+    calls = evaluated = projected = pending = 0
+    best: dict[int, tuple[int, np.ndarray, list[tuple[int, float]]]] = {}
+    # the active rows: runs enter in order and are appended, stopped rows are dropped
+    rows, F, grad = np.zeros(0, dtype=np.int64), np.zeros((0, n)), np.zeros((0, n))
+    recent, traces = np.zeros((0, NONMONOTONE_WINDOW)), []
     while rows.size or pending < runs:
-        m = rows.size
-        new = np.arange(pending, min(runs, pending + width - m))
+        new = np.arange(pending, min(runs, pending + width - rows.size))
         pending += new.size
-        need_pg = np.flatnonzero(np.isnan(pg))
-        parts = [F[need_pg] - grad[need_pg], F - step[:, None] * grad]
         if new.size:
-            parts.append(np.stack([start(i) for i in new.tolist()]))
-        proj = _project_rows(np.concatenate(parts),
-                             np.concatenate([dl[need_pg], dl, deltas[new]]))
-        h.rows_projected += len(proj)
-        d = F[need_pg] - proj[:need_pg.size]
-        pg[need_pg] = np.sqrt(_rowdot(d, d))
-        # the trials of the rows that go on, then the entering starts
-        c = proj[need_pg.size:]
-        stop = (pg <= grad_tol) | (h.iterations[rows] >= max_iter) | (step <= 1e-16)
+            rows = np.concatenate([rows, new])
+            F = np.concatenate([F, np.stack([start(i) for i in new.tolist()])])
+            grad = np.concatenate([grad, np.zeros((new.size, n))])
+            recent = np.concatenate([recent, np.full((new.size, NONMONOTONE_WINDOW), -np.inf)])
+            traces += [[] for _ in new]
+        dl, step, pg = deltas[rows], steps[rows], pgs[rows]
+        # the rows at a new point, whose projected gradient is not yet known
+        fresh = np.flatnonzero(np.isnan(pg))
+        proj = _project_rows(np.concatenate([F[fresh] - grad[fresh], F - step[:, None] * grad]),
+                             np.concatenate([dl[fresh], dl]))
+        projected += len(proj)
+        d = F[fresh] - proj[:fresh.size]
+        pgs[rows[fresh]] = pg[fresh] = np.sqrt(_rowdot(d, d))
+        c = proj[fresh.size:]
+        stop = (pg <= grad_tol) | (iters[rows] >= max_iter) | (step <= 1e-16)
         if stop.any():
-            stopped, keep = np.flatnonzero(stop), ~stop
-            done = rows[stopped]
-            h.values[done], h.grad_norms[done] = vals[stopped], pg[stopped]
-            for j, run in zip(stopped.tolist(), done.tolist()):
-                slot = int(slots[run])
-                if slot not in best or (h.values[run], run) < (h.values[best[slot][0]],
-                                                               best[slot][0]):
-                    best[slot] = (run, F[j].copy())
-            rows, dl, F, grad = rows[keep], dl[keep], F[keep], grad[keep]
-            vals, step, pg, recent = vals[keep], step[keep], pg[keep], recent[keep]
-            c = np.concatenate([c[:m][keep], c[m:]])
-        if len(c):
-            cv, cg = _objective(c, sols, group)
-            h.objective_calls += 1
-            h.rows_evaluated += len(c)
-            k = rows.size
-            ok = cv[:k] <= recent.max(axis=1) + ARMIJO_C * _rowdot(grad, c[:k] - F)
-            h.backtracks[rows[~ok]] += 1
-            step[~ok] *= ARMIJO_SHRINK
-            acc = np.flatnonzero(ok)
-            s = c[acc] - F[acc]
-            sy = _rowdot(s, cg[acc] - grad[acc])
-            # negative curvature along s: take the longest allowed step
-            step[acc] = np.where(
-                sy > 0.0,
-                np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
-                        SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX),
-                SPECTRAL_STEP_MAX,
-            )
-            F[acc], vals[acc], grad[acc], pg[acc] = c[acc], cv[acc], cg[acc], np.nan
-            moved = rows[acc]
-            h.iterations[moved] += 1
-            # column j of a run's window holds its values after j, j + 10,
-            # ... steps; only their maximum is used
-            recent[acc, h.iterations[moved] % NONMONOTONE_WINDOW] = vals[acc]
-            h.accepted.append((np.concatenate([moved, new]), np.concatenate([vals[acc], cv[k:]])))
-        if new.size:
-            fresh = np.full((new.size, NONMONOTONE_WINDOW), -np.inf)
-            fresh[:, 0] = cv[k:]
-            rows, dl = np.concatenate([rows, new]), np.concatenate([dl, deltas[new]])
-            F, grad = np.concatenate([F, c[k:]]), np.concatenate([grad, cg[k:]])
-            vals = np.concatenate([vals, cv[k:]])
-            step = np.concatenate([step, np.full(new.size, ARMIJO_INIT_STEP)])
-            pg = np.concatenate([pg, np.full(new.size, np.nan)])
-            recent = np.concatenate([recent, fresh])
-            h.entered[new] = t
-        t += 1
-    return [best[slot] for slot in sorted(best)], h
-
-
-def _row_trace(history: _History, run: int) -> list[tuple[int, float]]:
-    """The (iteration, value) trace of one run of a _pgd pool."""
-    runs = np.concatenate([r for r, _ in history.accepted])
-    vals = np.concatenate([v for _, v in history.accepted])
-    return list(enumerate(vals[runs == run].tolist()))
+            for j in np.flatnonzero(stop).tolist():
+                run, slot = int(rows[j]), int(slots[rows[j]])
+                if slot not in best or (values[run], run) < (values[best[slot][0]], best[slot][0]):
+                    best[slot] = (run, F[j].copy(), list(enumerate(traces[j])))
+            keep = ~stop
+            rows, F, grad, recent, c = rows[keep], F[keep], grad[keep], recent[keep], c[keep]
+            traces = [tr for tr, k in zip(traces, keep) if k]
+        if not len(c):
+            continue
+        cv, cg = _objective(c, sols, group)
+        calls, evaluated = calls + 1, evaluated + len(c)
+        first = iters[rows] < 0
+        ok = first | (cv <= recent.max(axis=1) + ARMIJO_C * _rowdot(grad, c - F))
+        backtracks[rows[~ok]] += 1
+        steps[rows[~ok]] *= ARMIJO_SHRINK
+        acc = np.flatnonzero(ok)
+        moved = rows[acc]
+        s = c[acc] - F[acc]
+        sy = _rowdot(s, cg[acc] - grad[acc])
+        # negative curvature along s: take the longest allowed step
+        bb = np.where(sy > 0.0, np.clip(_rowdot(s, s) / np.where(sy > 0.0, sy, 1.0),
+                                        SPECTRAL_STEP_MIN, SPECTRAL_STEP_MAX), SPECTRAL_STEP_MAX)
+        steps[moved] = np.where(first[acc], ARMIJO_INIT_STEP, bb)
+        F[acc], grad[acc], values[moved], pgs[moved] = c[acc], cg[acc], cv[acc], np.nan
+        iters[moved] += 1
+        # column j of a run's window holds its values after j, j + 10,
+        # ... steps; only their maximum is used
+        recent[acc, iters[moved] % NONMONOTONE_WINDOW] = cv[acc]
+        for j, v in zip(acc.tolist(), cv[acc].tolist()):
+            traces[j].append(v)
+    stats = {"iterations": iters.tolist(), "backtracks": backtracks.tolist(),
+             "grad_norms": pgs.tolist(), "pool_rows": width, "objective_calls": calls,
+             "rows_evaluated": evaluated, "rows_projected": projected}
+    return [(run, f, float(values[run]), float(pgs[run]), trace)
+            for run, f, trace in (best[slot] for slot in sorted(best))], stats
 
 
 def _minimize_grid(
@@ -365,14 +327,9 @@ def _minimize_grid(
         return np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
 
     run_deltas = np.repeat(np.asarray(deltas, dtype=np.float64), runs)
-    best, h = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) // runs,
-                   max_iter, grad_tol)
-    stats = {"iterations": h.iterations.tolist(), "backtracks": h.backtracks.tolist(),
-             "grad_norms": h.grad_norms.tolist(), "pool_rows": _call_rows(sols, n),
-             "objective_calls": h.objective_calls, "rows_evaluated": h.rows_evaluated,
-             "rows_projected": h.rows_projected}
-    return [(f, float(h.values[i]), float(h.grad_norms[i]), _row_trace(h, i))
-            for i, f in best], stats
+    best, stats = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) // runs,
+                       max_iter, grad_tol)
+    return [b[1:] for b in best], stats
 
 
 def _check_inputs(p: int, seed: int, restarts: int, max_iter: int, unsafe_group: bool,

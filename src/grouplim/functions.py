@@ -3,13 +3,15 @@ supported (sparse) functions on discrete f.g. abelian groups."""
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import UnsupportedError, ValidationError
+from .errors import UnsupportedError, ValidationError, check_int
 from .groups import Elem, GroupSpec
 
 
@@ -29,6 +31,8 @@ class DenseFn:
             raise ValidationError(
                 f"value table has length {vals.shape}, group order is {self.group.order}"
             )
+        if not np.isfinite(vals).all():
+            raise ValidationError("function values must be finite")
         self.values = vals
 
     def __call__(self, g: Elem) -> complex:
@@ -98,15 +102,19 @@ class SparseFn:
         for g, v in self.entries.items():
             g = self.group.reduce(g)
             v = complex(v)
+            if not cmath.isfinite(v):
+                raise ValidationError(f"function values must be finite, got {v} at {g}")
             if v != 0:
                 clean[g] = v
         self.entries = clean
-        if self.declared_l2 is not None:
-            stored = self.stored_l2()
-            if stored > self.declared_l2 + 1e-9:
-                raise ValidationError(
-                    f"stored l2 mass {stored} exceeds declared_l2 {self.declared_l2}"
-                )
+        l2 = self.declared_l2
+        if l2 is None:
+            return
+        if isinstance(l2, bool) or not isinstance(l2, numbers.Real) or not 0 <= l2 < math.inf:
+            raise ValidationError(f"declared l2 norm must be a finite number >= 0, got {l2!r}")
+        stored = self.stored_l2()
+        if stored > l2 + 1e-9:
+            raise ValidationError(f"stored l2 mass {stored} exceeds declared_l2 {l2}")
 
     def __call__(self, g: Elem) -> complex:
         return self.entries.get(self.group.reduce(g), 0.0 + 0.0j)
@@ -139,7 +147,8 @@ class SparseFn:
         entries: dict[Elem, complex] = {}
         try:
             for e in obj["entries"]:
-                entries[tuple(int(c) for c in e["elem"])] = complex(e["re"], e["im"])
+                elem = tuple(check_int(c, "elem coordinates") for c in e["elem"])
+                entries[elem] = complex(e["re"], e["im"])
         except (KeyError, TypeError, ValueError):
             raise ValidationError(
                 "sparse function JSON needs 'entries': [{'elem', 're', 'im'}, ...]"

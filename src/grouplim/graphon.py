@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_int
 from .functions import DenseFn
 from .groups import GroupSpec
 from .linconfig import density_brute, graph_config
@@ -47,7 +47,9 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         try:
-            return cls(int(obj["n"]), tuple((int(i), int(j)) for i, j in obj["edges"]))
+            return cls(check_int(obj["n"], "n"),
+                       tuple((check_int(i, "vertices"), check_int(j, "vertices"))
+                             for i, j in obj["edges"]))
         except (KeyError, TypeError, ValueError):
             raise ValidationError("graph JSON needs 'n' and 'edges': [[i, j], ...]")
 
@@ -87,9 +89,10 @@ def hom_density(H: Graph, W: Kernel, budget: int = HOM_BUDGET) -> complex:
     """Average over all vertex maps into the group of the product of
     kernel values along the edges."""
     N = W.group.order
+    # past budget's bit length, n is over budget, and N**n would hold n*log2(N) bits
+    if N > 1 and H.n > budget.bit_length() or N**H.n > budget:
+        raise BudgetError(f"|A|^n = {N}^{H.n} exceeds budget {budget}")
     total = N**H.n
-    if total > budget:
-        raise BudgetError(f"|A|^n = {total} exceeds budget {budget}")
     mat = W.matrix
     acc = 0.0 + 0.0j
     for start in range(0, total, CHUNK):

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedError, ValidationError
+from .errors import UnsupportedError, ValidationError, check_int
 
 Elem = tuple[int, ...]
 
@@ -176,6 +176,4 @@ def make_group(moduli: Sequence[int]) -> GroupSpec:
     """Validate and build a GroupSpec from a list of moduli."""
     if not isinstance(moduli, (list, tuple)):
         raise ValidationError("moduli must be a list of integers")
-    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in moduli):
-        raise ValidationError(f"moduli must be integers, got {list(moduli)}")
-    return GroupSpec(tuple(int(m) for m in moduli))
+    return GroupSpec(tuple(check_int(m, "moduli") for m in moduli))

@@ -23,14 +23,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_seed
+from .errors import BudgetError, ValidationError, check_int, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec
 from .intlattice import integer_kernel, kernel_mod_m, kernel_mod_m_size
 from .spectral import fft_rows, spectrum_array
 
 DENSITY_BUDGET = 10**8
-CHUNK = 1 << 16
+# bound on the bytes (32 MiB) a density_brute chunk holds at its peak
+CHUNK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ class ConfigSystem:
     def from_json(cls, obj: dict) -> "ConfigSystem":
         try:
             forms = tuple(
-                LinearForm(tuple(int(c) for c in row)) for row in obj["forms"]
+                LinearForm(tuple(check_int(c, "coefficients") for c in row))
+                for row in obj["forms"]
             )
         except (KeyError, TypeError, ValueError):
             raise ValidationError("config JSON needs 'forms': [[c1, ..., cn], ...]")
@@ -177,8 +179,15 @@ def density_brute(
     budget: int = DENSITY_BUDGET,
 ) -> complex:
     """Exact configuration density by direct summation over all variable
-    assignments, chunked so memory stays bounded.  Independent of the
-    Fourier side, so it is the oracle for the dual-lattice routes."""
+    assignments.  Independent of the Fourier side, so it is the oracle for
+    the dual-lattice routes.
+
+    Products are summed in blocks of 2**16 assignments, so the value does
+    not depend on CHUNK_BYTES, and computed in chunks that hold under
+    CHUNK_BYTES with the block: an assignment holds at most 2n + 3k + 3
+    int64-sized entries at the peak (its flat and variable indices, and
+    either their digits with the forms' indices in one factor, or the
+    forms' indices, gathered complex values and complex product)."""
     Fs, group = _as_system(F, config.size, group)
     n = config.arity
     N = group.order
@@ -189,11 +198,17 @@ def density_brute(
             "use density_fourier or monte-carlo sampling"
         )
     values = np.stack([f.values for f in Fs])
+    block = 1 << 16
+    # a block's products are held twice, in chunks and concatenated
+    chunk = max(1, (CHUNK_BYTES - 32 * block) // (8 * (2 * n + 3 * config.size + 3)))
     acc_sum = 0.0 + 0.0j
-    for start in range(0, total, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        var_idx = np.stack(np.unravel_index(flat, (N,) * n), axis=-1)
-        acc_sum += np.sum(form_products(values, _form_indices(config, group, var_idx)))
+    for first in range(0, total, block):
+        prods = []
+        for start in range(first, min(first + block, total), chunk):
+            flat = np.arange(start, min(start + chunk, first + block, total), dtype=np.int64)
+            var_idx = np.stack(np.unravel_index(flat, (N,) * n), axis=-1)
+            prods.append(form_products(values, _form_indices(config, group, var_idx)))
+        acc_sum += np.sum(np.concatenate(prods))
     return complex(acc_sum / total)
 
 

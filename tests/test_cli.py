@@ -17,6 +17,7 @@ from grouplim import DenseFn, cli as cli_module, make_group
 from grouplim.cli import main
 from grouplim.errors import BudgetError
 from grouplim.graphon import Graph
+from grouplim.metric import DistBracket
 
 
 @pytest.fixture
@@ -343,6 +344,16 @@ def test_exit_code_validation(capsys, tmp_path):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    # raw spectra: an elem coordinate of 1.9 and a declared l2 norm "x"
+    one = {"group": {"moduli": [5]}, "entries": [{"elem": [1], "re": 1.0, "im": 0.0}]}
+    (tmp_path / "one.json").write_text(json.dumps(one))
+    for name, doc in (("elem", {**one, "entries": [{"elem": [1.9], "re": 1.0, "im": 0.0}]}),
+                      ("l2", {**one, "l2": "x"})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        code = main(["dist", "--raw-spectra", "--lhs", str(tmp_path / f"{name}.json"),
+                     "--rhs", str(tmp_path / "one.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "") and captured.err.startswith("error:")
 
 
 def test_exit_code_budget(capsys, tmp_path):
@@ -437,6 +448,18 @@ def test_non_finite_json_is_rejected(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_non_finite_results_exit_1(capsys, monkeypatch, dense_file):
+    # a result that overflowed is refused where its JSON or CSV is written
+    far = DistBracket(1e307, math.inf)
+    monkeypatch.setattr(cli_module, "u2_fourier", lambda f: math.inf)
+    monkeypatch.setattr(cli_module, "pairwise_table",
+                        lambda fs, **kw: [[DistBracket(0.0, 0.0), far], [far, DistBracket(0.0, 0.0)]])
+    for argv in (["u2", "--fn", dense_file], ["converge", "--fns", f"{dense_file},{dense_file}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "") and captured.err.startswith("error:")
+
+
 # each file-reading option, as an argv around one path to a bad file
 FILE_OPTIONS = {
     "--fn": lambda bad, good: ["dft", "--fn", bad],
@@ -461,6 +484,11 @@ BAD_FILES = {
     "modulus_null": _moduli_doc([None]),
     "modulus_fraction": _moduli_doc([1.5]),
     "modulus_bool": _moduli_doc([True]),
+    "config_fraction": b'{"forms": [[1, 0], [1, 1.5], [1, 2]]}',
+    "graph_fraction": b'{"n": 2.7, "edges": [[0.5, 1]]}',
+    # 1e309 parses to inf; 1e308 is finite, and its spectrum overflows
+    "value_1e309": b'{"group": {"moduli": [2]}, "values": [[1e309, 0], [1, 0]]}',
+    "value_1e308": b'{"group": {"moduli": [2]}, "values": [[1e308, 0], [1e308, 0]]}',
 }
 
 
@@ -529,6 +557,7 @@ def fuzz_inputs(tmp_path_factory):
         "config": {"forms": [[1, 0], [1, 1], [1, 2]]},
         "bad": "{not json",
         "nan": '{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}',
+        "huge": {"group": {"moduli": [5]}, "values": [[1e308, 0.0]] * 5},
         "batch": "seed = 3\nrestarts = 1\n",
     }
     for moduli in ([5], [8], [2, 3]):
@@ -563,7 +592,7 @@ def _flag(flag):
 @st.composite
 def _command_argv(draw, files, command):
     dense = [files[n] for n in ("z5", "z8", "z2x3")]
-    fn = _pick(dense, [files["bad"], files["nan"], "absent"])
+    fn = _pick(dense, [files["bad"], files["nan"], files["huge"], "absent"])
     config = _pick(["ap3", "parallelogram", "graph:0-1,1-2,2-0", files["config"]],
                    ["graph:0-1", "mystery", files["bad"]])
     seed = st.one_of(_ints(0, 4), _pick([], ["-1", str(2**64), str(2**112)]))

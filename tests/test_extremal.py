@@ -11,7 +11,6 @@ from grouplim.errors import ValidationError
 from grouplim.extremal import (
     _pgd,
     _project_rows,
-    _row_trace,
     density_gradient,
     is_prime,
     minimize_density,
@@ -239,13 +238,14 @@ def _starts(n, deltas, restarts, seed):
             np.repeat(deltas, restarts + 1))
 
 
-def _pool(sols, G, starts, row_deltas, max_iter):
-    """One _pgd pool over the given starts, each run keeping its point:
-    final points, values, grad norms and the _History."""
-    best, history = _pgd(sols, G, starts.__getitem__, row_deltas, np.arange(len(starts)),
-                         max_iter, 1e-8)
-    assert [run for run, _ in best] == list(range(len(starts)))
-    return np.stack([f for _, f in best]), history.values, history.grad_norms, history
+def _pool(sols, G, start, row_deltas, max_iter):
+    """One _pgd pool over the runs from start(0), start(1), ..., each run
+    in its own slot, so that each keeps its result: final points, values,
+    grad norms and traces per run, and the stats."""
+    best, stats = _pgd(sols, G, start, row_deltas, np.arange(len(row_deltas)), max_iter, 1e-8)
+    assert [run for run, *_ in best] == list(range(len(row_deltas)))
+    F, vals, gnorms, traces = zip(*(b[1:] for b in best))
+    return np.stack(F), np.array(vals), np.array(gnorms), list(traces), stats
 
 
 @pytest.mark.parametrize("moduli, name, deltas, restarts", [
@@ -259,14 +259,14 @@ def test_lockstep_rows_match_serial_runs(moduli, name, deltas, restarts):
     G = make_group(moduli)
     sols = dual_constraint_solutions(builtin_config(name), G)
     starts, row_deltas = _starts(G.order, deltas, restarts, seed=7)
-    F, vals, gnorms, history = _pool(sols, G, starts, row_deltas, 3000)
+    F, vals, gnorms, traces, _ = _pool(sols, G, starts.__getitem__, row_deltas, 3000)
     for i, (start, delta) in enumerate(zip(starts, row_deltas)):
         f, val, gnorm, trace = pgd_serial(sols, G, start, delta, 3000, 1e-8)
         assert vals[i] == pytest.approx(val, abs=1e-12)
         assert np.max(np.abs(F[i] - f)) <= 1e-9
         assert gnorms[i] == pytest.approx(gnorm, abs=1e-12)
         # each row stopped at the same iteration as its serial run
-        assert len(_row_trace(history, i)) == len(trace)
+        assert len(traces[i]) == len(trace)
 
 
 def test_lockstep_row_stops_at_max_iter():
@@ -274,12 +274,12 @@ def test_lockstep_row_stops_at_max_iter():
     sols = dual_constraint_solutions(builtin_config("ap3"), G)
     starts, row_deltas = _starts(G.order, [0.3, 0.6], 3, seed=2)
     for max_iter in (0, 1, 5):
-        F, vals, gnorms, history = _pool(sols, G, starts, row_deltas, max_iter)
+        F, vals, gnorms, traces, _ = _pool(sols, G, starts.__getitem__, row_deltas, max_iter)
         for i, (start, delta) in enumerate(zip(starts, row_deltas)):
             f, val, gnorm, trace = pgd_serial(sols, G, start, delta, max_iter, 1e-8)
             assert vals[i] == pytest.approx(val, abs=1e-12)
             assert gnorms[i] == pytest.approx(gnorm, abs=1e-12)
-            got = _row_trace(history, i)
+            got = traces[i]
             assert [it for it, _ in got] == [it for it, _ in trace]
             assert np.allclose([v for _, v in got], [v for _, v in trace], rtol=0, atol=1e-12)
 
@@ -300,30 +300,33 @@ def test_chunked_runs_match_one_batch(monkeypatch):
     deltas = [0.25, 0.5, 0.75]
     whole = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
     single = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
-    pools = []
+    pools, widths = [], []
+    objective = extremal._objective
 
     def spy(*args):
         out = _pgd(*args)
         pools.append(out[1])
         return out
 
-    def widest(history):
-        # the most runs whose [entered, left] pool-iteration spans overlap
-        left = _left(history)
-        return max(((history.entered <= t) & (t <= left)).sum() for t in range(left.max() + 1))
+    def objective_spy(U, *args):
+        widths.append(len(U))
+        return objective(U, *args)
 
     # a pool of 2 rows
     sols = dual_constraint_solutions(cfg, make_group([11]))
     monkeypatch.setattr(extremal, "CALL_BYTES", 2 * extremal._row_bytes(sols, 11))
     monkeypatch.setattr(extremal, "_pgd", spy)
+    monkeypatch.setattr(extremal, "_objective", objective_spy)
     chunked = rho_curve(cfg, 11, deltas, restarts=3, seed=6)
-    assert len(pools) == 1 and len(pools[0].values) == 12 and widest(pools[0]) == 2
+    # the widest _objective call is the pool's width
+    assert len(pools) == 1 and len(pools[0]["iterations"]) == 12 and max(widths) == 2
     for a, b in zip(whole, chunked):
         assert a["value"] == pytest.approx(b["value"], abs=1e-12)
         assert a["grad_norm"] == pytest.approx(b["grad_norm"], abs=1e-12)
     monkeypatch.setattr(extremal, "CALL_BYTES", 1)
+    widths.clear()
     res = minimize_density(cfg, 11, 0.5, restarts=3, seed=6)
-    assert len(pools) == 2 and len(pools[1].values) == 4 and widest(pools[1]) == 1
+    assert len(pools) == 2 and len(pools[1]["iterations"]) == 4 and max(widths) == 1
     assert res.stats["pool_rows"] == 1
     assert res.value == pytest.approx(single.value, abs=1e-12)
     assert [it for it, _ in res.trace] == [it for it, _ in single.trace]
@@ -331,11 +334,11 @@ def test_chunked_runs_match_one_batch(monkeypatch):
                        rtol=0, atol=1e-12)
 
 
-def _left(history):
-    """The pool iteration each run of a _pgd pool left at: after its
-    start, each trial step takes one pool iteration, and the stopping test
-    one more."""
-    return history.entered + history.iterations + history.backtracks + 1
+def _left(entered, stats):
+    """The pool iteration each run of a _pgd pool left at, from the pool
+    iterations the runs entered at: after its start, each trial step takes
+    one pool iteration, and the stopping test one more."""
+    return np.array(entered) + stats["iterations"] + stats["backtracks"] + 1
 
 
 def _call_spies(mp, objective_inputs, projected_rows, calls):
@@ -358,12 +361,12 @@ def _call_spies(mp, objective_inputs, projected_rows, calls):
     mp.setattr(extremal, "_project_rows", project_spy)
 
 
-def _assert_one_projection_per_pool_iteration(calls, history):
+def _assert_one_projection_per_pool_iteration(calls, entered, stats):
     """A pool iteration makes one _project_rows call, then at most one
     _objective call."""
     assert re.fullmatch("(PO?)*", "".join(calls))
-    assert calls.count("P") == _left(history).max() + 1
-    assert calls.count("O") == history.objective_calls
+    assert calls.count("P") == _left(entered, stats).max() + 1
+    assert calls.count("O") == stats["objective_calls"]
 
 
 def _serial_counting_trials(mp, sols, G, start, delta, max_iter):
@@ -398,17 +401,19 @@ def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_ite
     cfg = builtin_config(name)
     sols = dual_constraint_solutions(cfg, G)
     row_bytes = extremal._row_bytes(sols, G.order)
-    pools, objective_inputs, projected_rows, calls, serial_values = [], [], [], [], []
+    pools, objective_inputs, projected_rows, calls, serial = [], [], [], [], []
 
     def pgd_spy(sols, group, start, row_deltas, *args):
-        starts = []
+        starts, entered = [], []
 
         def start_spy(i):
+            # the pool iteration run i enters at
+            entered.append(calls.count("P"))
             starts.append(start(i))
             return starts[-1]
 
         out = _pgd(sols, group, start_spy, row_deltas, *args)
-        pools.append((starts, row_deltas, out))
+        pools.append((starts, entered, row_deltas, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -417,28 +422,32 @@ def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_ite
         mp.setattr(extremal, "_pgd", pgd_spy)
         _call_spies(mp, objective_inputs, projected_rows, calls)
         results, stats = extremal._minimize_grid(cfg, G, deltas, restarts, seed, max_iter, 1e-8)
-        [(starts, row_deltas, (best, history))] = pools
-        _assert_one_projection_per_pool_iteration(calls, history)
+        [(starts, entered, row_deltas, (best, pool_stats))] = pools
+        assert pool_stats == stats
+        _assert_one_projection_per_pool_iteration(calls, entered, stats)
         # the serial runs below project too
         assert stats["rows_projected"] == sum(projected_rows)
         for i, (start, delta) in enumerate(zip(starts, row_deltas)):
             (f, val, gnorm, trace), n_values = _serial_counting_trials(mp, sols, G, start, delta,
                                                                        max_iter)
-            serial_values.append(n_values)
-            assert history.values[i] == val and history.grad_norms[i] == gnorm
-            assert _row_trace(history, i) == trace
-            assert history.iterations[i] == len(trace) - 1
+            serial.append((f, val, gnorm, trace, n_values))
+            assert stats["grad_norms"][i] == gnorm
+            assert stats["iterations"][i] == len(trace) - 1
             # the serial run evaluates its start, then each trial step
-            assert history.backtracks[i] == n_values - len(trace)
-            if i in [run for run, _ in best]:
-                assert np.array_equal(dict(best)[i], f)
+            assert stats["backtracks"][i] == n_values - len(trace)
+    # each run in its own slot gives its value, point and trace
+    F, vals, gnorms, traces, _ = _pool(sols, G, starts.__getitem__, row_deltas, max_iter)
+    for i, (f, val, gnorm, trace, _) in enumerate(serial):
+        assert vals[i] == val and gnorms[i] == gnorm and traces[i] == trace
+        assert np.array_equal(F[i], f)
     # the best run of each delta, its point and its trace
     runs = restarts + 1
+    assert len(best) == len(results) == len(deltas)
     for d, (f, val, gnorm, trace) in enumerate(results):
-        run = min(range(d * runs, (d + 1) * runs), key=lambda i: (history.values[i], i))
+        run = min(range(d * runs, (d + 1) * runs), key=lambda i: (serial[i][1], i))
         assert best[d][0] == run and np.array_equal(best[d][1], f)
-        assert (val, gnorm, trace) == (history.values[run], history.grad_norms[run],
-                                       _row_trace(history, run))
+        assert np.array_equal(f, serial[run][0])
+        assert (val, gnorm, trace) == serial[run][1:4]
     # within the bound: a row's footprint covers two projected rows
     objective_rows = [len(U) for U in objective_inputs]
     assert max(objective_rows) <= call_rows
@@ -449,7 +458,7 @@ def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_ite
     assert stats["objective_calls"] == len(objective_rows)
     assert stats["rows_evaluated"] == sum(objective_rows)
     # the pool evaluates the steps the serial runs evaluate, and no more
-    assert stats["rows_evaluated"] == sum(serial_values)
+    assert stats["rows_evaluated"] == sum(n_values for *_, n_values in serial)
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,31 +469,32 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
     sols = dual_constraint_solutions(builtin_config(name), G)
     starts, row_deltas = _starts(G.order, deltas, restarts, seed)
     runs = len(starts)
-    objective_inputs, projected_rows, calls, drawn_before, serial_values = [], [], [], [], []
+    objective_inputs, projected_rows, calls, drawn_before, entered, serial_values = (
+        [], [], [], [], [], [])
 
     def start(i):
         # a start is drawn once, in run order, with the objective calls
-        # made so far noted
+        # made so far and the pool iteration it enters at noted
         assert i == len(drawn_before)
         drawn_before.append(len(objective_inputs))
+        entered.append(calls.count("P"))
         return starts[i]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremal, "CALL_BYTES", call_rows * extremal._row_bytes(sols, G.order))
         _call_spies(mp, objective_inputs, projected_rows, calls)
-        best, history = _pgd(sols, G, start, row_deltas, np.arange(runs), max_iter, 1e-8)
-        _assert_one_projection_per_pool_iteration(calls, history)
-        assert [run for run, _ in best] == list(range(runs))
+        F, vals, gnorms, traces, stats = _pool(sols, G, start, row_deltas, max_iter)
+        _assert_one_projection_per_pool_iteration(calls, entered, stats)
         for i in range(runs):
             (f, val, gnorm, trace), n_values = _serial_counting_trials(
                 mp, sols, G, starts[i], row_deltas[i], max_iter)
-            assert history.values[i] == val and history.grad_norms[i] == gnorm
-            assert np.array_equal(best[i][1], f)
-            assert _row_trace(history, i) == trace
-            assert history.iterations[i] == len(trace) - 1
-            assert history.backtracks[i] == n_values - len(trace)
+            assert vals[i] == val and gnorms[i] == gnorm == stats["grad_norms"][i]
+            assert np.array_equal(F[i], f)
+            assert traces[i] == trace
+            assert stats["iterations"][i] == len(trace) - 1
+            assert stats["backtracks"][i] == n_values - len(trace)
             serial_values.append(n_values)
-    assert history.rows_evaluated == sum(serial_values)
+    assert stats["rows_evaluated"] == sum(serial_values)
     assert max(len(U) for U in objective_inputs) <= call_rows
     assert max(projected_rows) <= 2 * call_rows
     # each start is drawn in the pool iteration its run enters: the next
@@ -495,9 +505,9 @@ def test_pool_runs_match_serial_runs_and_enter_as_rows_free(name, moduli, max_it
     assert drawn_before.count(0) == min(runs, call_rows)
     # the first call_rows runs enter at once, each later one at the pool
     # iteration after a row frees
-    assert not history.entered[:call_rows].any()
-    left = np.sort(_left(history))
-    assert np.array_equal(history.entered[call_rows:], left[:max(runs - call_rows, 0)] + 1)
+    assert not any(entered[:call_rows])
+    left = np.sort(_left(entered, stats))
+    assert np.array_equal(entered[call_rows:], left[:max(runs - call_rows, 0)] + 1)
 
 
 @pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([401], "ap3"), ([61], "parallelogram"),

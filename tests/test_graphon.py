@@ -43,6 +43,14 @@ def test_cayley_kernel_order_guard():
         cayley_kernel(constant_fn(G, 0.5))
 
 
+def test_hom_budget_refuses_a_huge_vertex_count_before_counting_maps():
+    # 8**(10**6) has 3 million bits; a vertex count read from a graph file
+    # can be far larger, and the count of maps is never computed
+    W = cayley_kernel(constant_fn(make_group([8]), 0.5))
+    with pytest.raises(BudgetError, match=r"8\^1000000 exceeds"):
+        hom_density(Graph(10**6, ((0, 1),)), W)
+
+
 def test_edge_density_is_kernel_mean():
     G = make_group([2, 3])
     f = random_dense(G, seed=3, box=True)

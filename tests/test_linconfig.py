@@ -299,6 +299,24 @@ def test_dual_lattice_peak_is_within_its_counted_entries(moduli):
     assert peak <= 8 * entries
 
 
+def test_brute_peak_is_within_its_byte_bound(monkeypatch):
+    # K12 on Z_3: 531 441 assignments of 66 forms, in chunks of 18 051
+    k12, G = _complete_graph(12), make_group([3])
+    f = random_dense(G, seed=8)
+    tracemalloc.start()
+    try:
+        value = density_brute(k12, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= linconfig.CHUNK_BYTES
+    # the sums run over the same blocks of assignments whatever the chunks:
+    # one chunk a block, then chunks of 1 000
+    for bound in (1 << 40, (16 << 16) + 8 * (2 * 12 + 3 * 66 + 3) * 1000):
+        monkeypatch.setattr(linconfig, "CHUNK_BYTES", bound)
+        assert density_brute(k12, f) == value
+
+
 def test_cs_complexity_classifications():
     ok, per_form = cs_complexity_at_most_1(builtin_config("ap3"))
     assert ok and all(per_form)
