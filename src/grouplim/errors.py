@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all grouplim modules."""
 
 import numbers
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class GrouplimError(Exception):
@@ -41,3 +44,14 @@ def check_seed(seed: int, bits: int = 128) -> None:
     one seed passes the bits left for the seed."""
     if not 0 <= seed < 1 << bits:
         raise ValidationError(f"seed must be an integer in [0, 2**{bits}), got {seed}")
+
+
+@contextmanager
+def refuse_overflow(what: str):
+    """Refuse finite input whose NumPy arithmetic overflows (or turns
+    invalid) with a ValidationError, in place of a warning and inf or nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise ValidationError(f"{what} overflows: the input values are too large") from e

@@ -39,8 +39,14 @@ class DenseFn:
         return complex(self.values[self.group.index_of(g)])
 
     def l2_norm(self) -> float:
-        """L2 norm under normalized Haar measure: sqrt(E_x |f(x)|^2)."""
-        return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
+        """L2 norm under normalized Haar measure: sqrt(E_x |f(x)|^2), scaled
+        by the largest coordinate, as math.hypot is, where |f|^2 overflows."""
+        try:
+            with np.errstate(over="raise"):
+                return float(np.sqrt(np.mean(np.abs(self.values) ** 2)))
+        except FloatingPointError:
+            scale = float(np.max(np.abs(self.values.view(np.float64))))
+            return scale * float(np.sqrt(np.mean(np.abs(self.values / scale) ** 2)))
 
     def mean(self) -> complex:
         return complex(np.mean(self.values))

@@ -11,11 +11,9 @@ import numpy as np
 from .errors import BudgetError, ValidationError, check_int
 from .functions import DenseFn
 from .groups import GroupSpec
-from .linconfig import density_brute, graph_config
+from .linconfig import DENSITY_BUDGET, density_brute, graph_config, mean_over_assignments
 
 KERNEL_MAX_ORDER = 256
-HOM_BUDGET = 10**8
-CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,9 +25,7 @@ class Graph:
         if self.n < 1:
             raise ValidationError("graph needs at least one vertex")
         seen = set()
-        norm = []
-        for e in self.edges:
-            i, j = e
+        for i, j in self.edges:
             if i == j:
                 raise ValidationError(f"loop at vertex {i} not allowed")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -38,8 +34,7 @@ class Graph:
             if key in seen:
                 raise ValidationError(f"duplicate edge {key}")
             seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -85,24 +80,18 @@ def cayley_kernel(f: DenseFn) -> Kernel:
     return Kernel(G, f.values[add_idx])
 
 
-def hom_density(H: Graph, W: Kernel, budget: int = HOM_BUDGET) -> complex:
+def hom_density(H: Graph, W: Kernel, budget: int = DENSITY_BUDGET) -> complex:
     """Average over all vertex maps into the group of the product of
-    kernel values along the edges."""
-    N = W.group.order
-    # past budget's bit length, n is over budget, and N**n would hold n*log2(N) bits
-    if N > 1 and H.n > budget.bit_length() or N**H.n > budget:
-        raise BudgetError(f"|A|^n = {N}^{H.n} exceeds budget {budget}")
-    total = N**H.n
-    mat = W.matrix
-    acc = 0.0 + 0.0j
-    for start in range(0, total, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        var_idx = np.unravel_index(flat, (N,) * H.n)
-        prod = np.ones(len(flat), dtype=np.complex128)
+    kernel values along the edges.  A map holds at most 2n + 5 int64-sized
+    entries: its flat and vertex indices, and either the vertex indices'
+    unstacked copy or the complex product and one edge's gathered values."""
+    def products(var_idx):
+        prod = np.ones(len(var_idx), dtype=np.complex128)
         for i, j in H.edges:
-            prod *= mat[var_idx[i], var_idx[j]]
-        acc += np.sum(prod)
-    return complex(acc / total)
+            prod *= W.matrix[var_idx[:, i], var_idx[:, j]]
+        return prod
+
+    return mean_over_assignments(W.group.order, H.n, 2 * H.n + 5, products, budget)
 
 
 def verify_bridge(H: Graph, f: DenseFn, tol: float = 1e-9) -> dict:
@@ -112,14 +101,7 @@ def verify_bridge(H: Graph, f: DenseFn, tol: float = 1e-9) -> dict:
     if not H.edges:
         raise ValidationError("bridge check needs a graph with at least one edge")
     lhs = hom_density(H, cayley_kernel(f))
-    config = graph_config(list(H.edges), nvars=H.n)
-    rhs = density_brute(config, f)
+    rhs = density_brute(graph_config(list(H.edges), nvars=H.n), f)
     diff = abs(lhs - rhs)
-    report = {
-        "hom_density": lhs,
-        "config_density": rhs,
-        "abs_diff": diff,
-        "ok": diff <= tol,
-        "tol": tol,
-    }
-    return report
+    return {"hom_density": lhs, "config_density": rhs, "abs_diff": diff, "ok": diff <= tol,
+            "tol": tol}

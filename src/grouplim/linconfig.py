@@ -23,15 +23,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_int, check_seed
+from .errors import BudgetError, ValidationError, check_int, check_seed, refuse_overflow
 from .functions import DenseFn
 from .groups import GroupSpec
 from .intlattice import integer_kernel, kernel_mod_m, kernel_mod_m_size
 from .spectral import fft_rows, spectrum_array
 
 DENSITY_BUDGET = 10**8
-# bound on the bytes (32 MiB) a density_brute chunk holds at its peak
+# bound on the bytes (32 MiB) a chunk of assignments holds at its peak
 CHUNK_BYTES = 1 << 25
+# assignments summed by one np.sum, whatever the chunks
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class ConfigSystem:
         return [list(f.coeffs) for f in self.forms]
 
     def to_json(self) -> dict:
-        return {"forms": [list(f.coeffs) for f in self.forms]}
+        return {"forms": self.matrix()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConfigSystem":
@@ -155,9 +157,8 @@ def _form_indices(config: ConfigSystem, group: GroupSpec, var_idx: np.ndarray) -
     """Flat element index of every form at each assignment: var_idx is
     (L, n) element indices of the variables, the result is (L, k).  The
     forms are evaluated one coordinate factor at a time, on the variables'
-    digits in that factor, and folded in as mixed-radix digits, the first
-    factor slowest."""
-    lam_t = np.array(config.matrix(), dtype=np.int64).T
+    digits in that factor, with the coefficients reduced mod its modulus,
+    and folded in as mixed-radix digits, the first factor slowest."""
     flat = np.zeros((len(var_idx), config.size), dtype=np.int64)
     forms, digits = np.empty_like(flat), np.empty_like(var_idx)
     stride = group.order
@@ -165,11 +166,37 @@ def _form_indices(config: ConfigSystem, group: GroupSpec, var_idx: np.ndarray) -
         stride //= m
         np.floor_divide(var_idx, stride, out=digits)
         digits %= m
+        lam_t = np.array([[c % m for c in f.coeffs] for f in config.forms], dtype=np.int64).T
         np.matmul(digits, lam_t, out=forms)
         forms %= m
         flat *= m
         flat += forms
     return flat
+
+
+@refuse_overflow("the mean over assignments")
+def mean_over_assignments(N: int, n: int, row_entries: int, products, budget: int) -> complex:
+    """Mean of products(var_idx) over the N**n assignments of n variables
+    to a group of order N, the sum behind both brute-force oracles.
+    var_idx is a chunk's (L, n) element indices, and a chunk holds at most
+    row_entries int64-sized entries an assignment.  Products are summed in
+    blocks of BLOCK assignments, so the value does not depend on
+    CHUNK_BYTES, and computed in chunks that hold under CHUNK_BYTES with
+    the block's products, which are held twice."""
+    # past budget's bit length, n is over budget, and N**n would hold n*log2(N) bits
+    if N > 1 and n > budget.bit_length() or N**n > budget:
+        raise BudgetError(f"|A|^n = {N}^{n} exceeds evaluation budget {budget}")
+    total = N**n
+    chunk = max(1, (CHUNK_BYTES - 32 * BLOCK) // (8 * row_entries))
+    acc = 0.0 + 0.0j
+    for first in range(0, total, BLOCK):
+        last = min(first + BLOCK, total)
+        prods = []
+        for start in range(first, last, chunk):
+            flat = np.arange(start, min(start + chunk, last), dtype=np.int64)
+            prods.append(products(np.stack(np.unravel_index(flat, (N,) * n), axis=-1)))
+        acc += np.sum(np.concatenate(prods))
+    return complex(acc / total)
 
 
 def density_brute(
@@ -180,36 +207,17 @@ def density_brute(
 ) -> complex:
     """Exact configuration density by direct summation over all variable
     assignments.  Independent of the Fourier side, so it is the oracle for
-    the dual-lattice routes.
-
-    Products are summed in blocks of 2**16 assignments, so the value does
-    not depend on CHUNK_BYTES, and computed in chunks that hold under
-    CHUNK_BYTES with the block: an assignment holds at most 2n + 3k + 3
-    int64-sized entries at the peak (its flat and variable indices, and
-    either their digits with the forms' indices in one factor, or the
-    forms' indices, gathered complex values and complex product)."""
+    the dual-lattice routes; over budget, use density_fourier or sampling.
+    An assignment holds at most 2n + 3k + 3 int64-sized entries: its flat
+    and variable indices, and either their digits with the forms' indices
+    in one factor, or the forms' indices, gathered complex values and
+    complex product."""
     Fs, group = _as_system(F, config.size, group)
-    n = config.arity
-    N = group.order
-    total = N**n
-    if total > budget:
-        raise BudgetError(
-            f"|A|^n = {total} exceeds evaluation budget {budget}; "
-            "use density_fourier or monte-carlo sampling"
-        )
     values = np.stack([f.values for f in Fs])
-    block = 1 << 16
-    # a block's products are held twice, in chunks and concatenated
-    chunk = max(1, (CHUNK_BYTES - 32 * block) // (8 * (2 * n + 3 * config.size + 3)))
-    acc_sum = 0.0 + 0.0j
-    for first in range(0, total, block):
-        prods = []
-        for start in range(first, min(first + block, total), chunk):
-            flat = np.arange(start, min(start + chunk, first + block, total), dtype=np.int64)
-            var_idx = np.stack(np.unravel_index(flat, (N,) * n), axis=-1)
-            prods.append(form_products(values, _form_indices(config, group, var_idx)))
-        acc_sum += np.sum(np.concatenate(prods))
-    return complex(acc_sum / total)
+    n, k = config.arity, config.size
+    return mean_over_assignments(
+        group.order, n, 2 * n + 3 * k + 3,
+        lambda var_idx: form_products(values, _form_indices(config, group, var_idx)), budget)
 
 
 def dual_constraint_solutions(
@@ -298,6 +306,7 @@ def dual_gradient(sols: np.ndarray, spec: np.ndarray, group: GroupSpec) -> np.nd
     return grads.reshape(spec.shape)
 
 
+@refuse_overflow("the density")
 def density_fourier(
     config: ConfigSystem,
     F,
@@ -312,6 +321,7 @@ def density_fourier(
     return complex(np.sum(form_products(specs, sols)))
 
 
+@refuse_overflow("the sampled density")
 def density_monte_carlo(
     config: ConfigSystem,
     F,
@@ -338,11 +348,8 @@ def density_monte_carlo(
                           f"over budget {DENSITY_BUDGET}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     var_idx = rng.integers(0, group.order, size=(samples, n))
-    prod = form_products(np.stack([f.values for f in Fs]),
-                         _form_indices(config, group, var_idx))
-    est = complex(np.mean(prod))
-    se = float(np.std(prod) / math.sqrt(samples))
-    return est, se
+    prod = form_products(np.stack([f.values for f in Fs]), _form_indices(config, group, var_idx))
+    return complex(np.mean(prod)), float(np.std(prod) / math.sqrt(samples))
 
 
 def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
@@ -355,19 +362,15 @@ def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
         raise BudgetError("cs complexity check limited to at most 16 forms")
     if k < 2:
         raise ValidationError("cs complexity check needs at least 2 forms")
-    rows = [list(f.coeffs) for f in config.forms]
-    per_form: list[bool] = []
-    for i in range(k):
-        others = [rows[j] for j in range(k) if j != i]
-        target = rows[i]
-        ok = False
-        for mask in range(2 ** len(others)):
-            cls1 = [others[j] for j in range(len(others)) if mask >> j & 1]
-            cls2 = [others[j] for j in range(len(others)) if not mask >> j & 1]
-            if all(not _in_span(target, cls) for cls in (cls1, cls2)):
-                ok = True
-                break
-        per_form.append(ok)
+    rows = config.matrix()
+    per_form = []
+    for i, target in enumerate(rows):
+        others = rows[:i] + rows[i + 1:]
+        # the bits of mask split the others into the classes 1 and 0
+        per_form.append(any(
+            all(not _in_span(target, [r for b, r in enumerate(others) if (mask >> b & 1) == side])
+                for side in (1, 0))
+            for mask in range(2 ** len(others))))
     return all(per_form), per_form
 
 

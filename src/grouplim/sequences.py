@@ -75,18 +75,8 @@ def cauchy_detect(table: Sequence[Sequence[Optional[DistBracket]]], tol: float) 
     n = len(table)
     # a tail needs at least two terms; a singleton passes vacuously
     for start in range(n - 1):
-        ok = True
-        for i in range(start, n):
-            for j in range(start, n):
-                if i == j:
-                    continue
-                cell = table[i][j]
-                if cell is None or cell.hi > tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not any(table[i][j] is None or table[i][j].hi > tol
+                   for i in range(start, n) for j in range(start, n) if i != j):
             return True, start
     return False, None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, UnsupportedError
+from .errors import BudgetError, UnsupportedError, refuse_overflow
 from .functions import DenseFn, SparseFn
 from .groups import GroupSpec
 
@@ -19,6 +19,7 @@ TRUNCATION = 1e-14
 U2_DIRECT_MAX_ORDER = 4096
 
 
+@refuse_overflow("the spectrum")
 def spectrum_array(f: DenseFn) -> np.ndarray:
     """Full (untruncated) spectrum as a flat array in dual enumeration
     order.  The dual of a finite group shares its moduli, so indexing
@@ -76,12 +77,14 @@ def idft(fhat: SparseFn) -> DenseFn:
     return DenseFn(G, grid.reshape(-1))
 
 
+@refuse_overflow("the U2 norm")
 def u2_fourier(f: DenseFn) -> float:
     """U2 norm via the spectral formula: the l4 norm of the spectrum."""
     spec = spectrum_array(f)
     return float(np.sum(np.abs(spec) ** 4) ** 0.25)
 
 
+@refuse_overflow("the U2 norm")
 def u2_direct(f: DenseFn, max_order: int = U2_DIRECT_MAX_ORDER) -> float:
     """U2 norm from its defining triple average
     E_{x,a,b} f(x) f(x+a)* f(x+b)* f(x+a+b), evaluated without any Fourier

@@ -266,6 +266,7 @@ GRID_PARTS = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(GRID_PARTS, GRID_PARTS, GRID_PARTS))
 def test_rho_curve_grid_fuzz_exits_0_or_1_with_strict_json(parts):
@@ -422,6 +423,34 @@ def test_dist_on_huge_raw_spectra_exits_0_or_1_never_3(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dist_on_a_value_whose_square_overflows_exits_0(capsys, tmp_path, dense_file):
+    values = [[0.1 * i, 0.0] for i in range(8)]
+    values[3] = [1e307, 0.0]
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({"group": {"moduli": [8]}, "values": values}))
+    for tight in ([], ["--tight"]):
+        code, out = run(capsys, ["dist", "--lhs", str(path), "--rhs", dense_file] + tight)
+        assert code == 0
+        payload = _strict_json(out)
+        assert 0.0 < payload["lo"] <= payload["hi"] < math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_with_a_coefficient_past_int64_exits_0(capsys, tmp_path, dense_file):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"forms": [[1, 0], [1, 10**400 - 1], [1, 2]]}))
+    payloads = {}
+    for method in ("brute", "mc", "fourier"):
+        code, out = run(capsys, ["density", "--config", str(path), "--fn", dense_file,
+                                 "--method", method])
+        assert code == 0
+        payloads[method] = _strict_json(out)
+    exact = payloads["fourier"]["density"]["re"]
+    assert payloads["brute"]["density"]["re"] == pytest.approx(exact, abs=1e-12)
+    assert abs(payloads["mc"]["density"]["re"] - exact) <= 6 * payloads["mc"]["standard_error"]
+
+
 def test_bad_seed_and_sample_count_exit_1(capsys, dense_file):
     mc = ["density", "--config", "ap3", "--fn", dense_file, "--method", "mc"]
     for argv in (["round", "--fn", dense_file, "--seed", "-1"],
@@ -492,6 +521,7 @@ BAD_FILES = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad_file", sorted(BAD_FILES))
 @pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
 def test_unreadable_or_malformed_input_files_exit_1(capsys, tmp_path, dense_file,
@@ -525,6 +555,7 @@ def _ints(lo, hi, *extra):
     _ints(-3, 40, 3000, -(2**70)),
     _ints(-2, 5, 2**64, 2**108 - 1, 2**108, 2**128, -(2**70)),
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_minimize_and_rho_curve_fuzz_exit_0_1_or_2_with_strict_json(
         command, config, p, delta, deltas, restarts, max_iter, seed):
     argv = [command, "--config", config, "--p", p, "--restarts", restarts, "--seed", seed]
@@ -558,6 +589,9 @@ def fuzz_inputs(tmp_path_factory):
         "bad": "{not json",
         "nan": '{"group": {"moduli": [2]}, "values": [[NaN, 0], [1, 0]]}',
         "huge": {"group": {"moduli": [5]}, "values": [[1e308, 0.0]] * 5},
+        # |1e307|^2 overflows, so its L2 norm is taken scaled
+        "spike": {"group": {"moduli": [8]},
+                  "values": [[1e307 if i == 3 else 0.1 * i, 0.0] for i in range(8)]},
         "batch": "seed = 3\nrestarts = 1\n",
     }
     for moduli in ([5], [8], [2, 3]):
@@ -592,7 +626,7 @@ def _flag(flag):
 @st.composite
 def _command_argv(draw, files, command):
     dense = [files[n] for n in ("z5", "z8", "z2x3")]
-    fn = _pick(dense, [files["bad"], files["nan"], files["huge"], "absent"])
+    fn = _pick(dense, [files["bad"], files["nan"], files["huge"], files["spike"], "absent"])
     config = _pick(["ap3", "parallelogram", "graph:0-1,1-2,2-0", files["config"]],
                    ["graph:0-1", "mystery", files["bad"]])
     seed = st.one_of(_ints(0, 4), _pick([], ["-1", str(2**64), str(2**112)]))
@@ -640,6 +674,7 @@ def _command_argv(draw, files, command):
     return argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(cli_module.cli.commands))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

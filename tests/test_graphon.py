@@ -1,8 +1,10 @@
 """Cayley kernels and homomorphism densities."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from grouplim import constant_fn, make_group
+from grouplim import constant_fn, linconfig, make_group
 from grouplim.errors import BudgetError, ValidationError
 from grouplim.graphon import Graph, Kernel, cayley_kernel, hom_density, verify_bridge
 from conftest import random_dense
@@ -11,6 +13,9 @@ EDGE = Graph(2, ((0, 1),))
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
 P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+# under this CHUNK_BYTES a chunk of K4's maps holds about 1 000 of them
+K4_SMALL_CHUNKS = 32 * linconfig.BLOCK + 8 * (2 * 4 + 5) * 1000
 
 
 def test_graph_validation_and_json():
@@ -75,3 +80,27 @@ def test_bridge_identity(H, moduli):
     report = verify_bridge(H, f)
     assert report["ok"]
     assert report["abs_diff"] <= 1e-9
+
+
+def test_hom_peak_is_within_its_byte_bound(monkeypatch):
+    # K4 on Z_20: 160 000 maps in three blocks
+    W = cayley_kernel(random_dense(make_group([20]), seed=5, real=True))
+    value = hom_density(K4, W)
+    monkeypatch.setattr(linconfig, "CHUNK_BYTES", K4_SMALL_CHUNKS)
+    tracemalloc.start()
+    try:
+        assert hom_density(K4, W) == value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K4_SMALL_CHUNKS
+
+
+def test_bridge_values_do_not_depend_on_the_chunks(monkeypatch):
+    # both sides sum the same blocks of 2**16 assignments whatever the chunks
+    f = random_dense(make_group([20]), seed=6, real=True)
+    reports = []
+    for bound in (linconfig.CHUNK_BYTES, K4_SMALL_CHUNKS):
+        monkeypatch.setattr(linconfig, "CHUNK_BYTES", bound)
+        reports.append(verify_bridge(K4, f))
+    assert reports[0]["ok"] and reports[0] == reports[1]

@@ -317,6 +317,27 @@ def test_brute_peak_is_within_its_byte_bound(monkeypatch):
         assert density_brute(k12, f) == value
 
 
+@pytest.mark.parametrize("moduli", [[8], [7], [2, 3], [3, 5]])
+def test_huge_coefficients_are_reduced_mod_each_modulus(moduli):
+    # 10**400 - 1 overflows int64; it is -1 mod 8 and 0 mod 3
+    cfg = config_from_forms([[1, 0], [1, 10**400 - 1], [1, 2]])
+    G = make_group(moduli)
+    f = random_dense(G, seed=9)
+    assert abs(density_brute(cfg, f) - density_fourier(cfg, f)) <= 1e-12
+    est, se = density_monte_carlo(cfg, f, samples=20000)
+    assert abs(est - density_fourier(cfg, f)) <= 6 * se + 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_densities_are_refused():
+    huge = constant_fn(make_group([5]), 1e200)
+    ap3 = builtin_config("ap3")
+    for route in (density_brute, density_fourier,
+                  lambda cfg, f: density_monte_carlo(cfg, f, samples=100)):
+        with pytest.raises(ValidationError, match="overflows"):
+            route(ap3, huge)
+
+
 def test_cs_complexity_classifications():
     ok, per_form = cs_complexity_at_most_1(builtin_config("ap3"))
     assert ok and all(per_form)

@@ -1,9 +1,11 @@
 """Fourier transform, Parseval, and the two U2 routes."""
+import math
+
 import numpy as np
 import pytest
 
 from grouplim import DenseFn, constant_fn, indicator_fn, make_group
-from grouplim.errors import BudgetError
+from grouplim.errors import BudgetError, ValidationError
 from grouplim.spectral import (
     dft,
     dft_naive,
@@ -59,6 +61,25 @@ def test_dft_declares_full_l2_mass():
     f = random_dense(G, seed=7)
     fhat = dft(f)
     assert abs(fhat.l2_norm() - f.l2_norm()) <= 1e-12
+
+
+def test_l2_norm_is_scaled_only_where_the_plain_formula_overflows():
+    G = make_group([8])
+    f = random_dense(G, seed=8)
+    assert f.l2_norm() == float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
+    # |1e307|^2 overflows; a spike's norm is its size over sqrt(|A|)
+    spike = DenseFn(G, np.where(np.arange(8) == 3, 1e307, 0.0))
+    assert spike.l2_norm() == pytest.approx(1e307 / np.sqrt(8), rel=1e-15)
+    both = DenseFn(G, np.full(8, 1.5e308 - 1.5e308j))
+    assert both.l2_norm() == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_transforms_are_refused():
+    huge = constant_fn(make_group([5]), 1e308)
+    for route in (spectrum_array, dft, u2_fourier, u2_direct):
+        with pytest.raises(ValidationError, match="overflows"):
+            route(huge)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=str)
