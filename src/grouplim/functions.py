@@ -83,8 +83,7 @@ def constant_fn(group: GroupSpec, c: complex) -> DenseFn:
 
 def indicator_fn(group: GroupSpec, subset) -> DenseFn:
     vals = np.zeros(group.order, dtype=np.complex128)
-    for g in subset:
-        vals[group.index_of(tuple(g))] = 1.0
+    vals[group.flat_index(np.reshape([group.reduce(g) for g in subset], (-1, group.rank)))] = 1.0
     return DenseFn(group, vals)
 
 

@@ -8,7 +8,9 @@ mod m_j whenever m_j >= 1), so equality and hashing are structural.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -67,40 +69,26 @@ class GroupSpec:
         return (0,) * len(self.moduli)
 
     def add(self, g: Elem, h: Elem) -> Elem:
-        self._check(g)
-        self._check(h)
-        return tuple(
-            (a + b) % m if m >= 1 else a + b
-            for a, b, m in zip(g, h, self.moduli)
-        )
+        return self.signed_combination((1, 1), (g, h))
 
     def neg(self, g: Elem) -> Elem:
-        self._check(g)
-        return tuple(-a % m if m >= 1 else -a for a, m in zip(g, self.moduli))
+        return self.signed_combination((-1,), (g,))
 
     def scale(self, k: int, g: Elem) -> Elem:
-        self._check(g)
-        return tuple(k * a % m if m >= 1 else k * a for a, m in zip(g, self.moduli))
+        return self.signed_combination((k,), (g,))
 
     def signed_combination(self, coeffs: Sequence[int], elems: Sequence[Elem]) -> Elem:
         """Sum of c_i * g_i, the abelian reduction of a signed word."""
-        if len(coeffs) != len(elems):
-            raise ValidationError("coeffs and elems must have equal length")
-        acc = [0] * len(self.moduli)
-        for c, g in zip(coeffs, elems):
-            self._check(g)
-            for j in range(len(acc)):
-                acc[j] += c * g[j]
-        return self.reduce(acc)
+        rank = len(self.moduli)
+        if len(coeffs) != len(elems) or any(len(g) != rank for g in elems):
+            raise ValidationError(
+                f"need as many coeffs as elems, each element of length {rank}")
+        if len(elems) == 0:
+            return self.zero()
+        return self.reduce([sum(map(operator.mul, coeffs, col)) for col in zip(*elems)])
 
     def is_zero(self, g: Elem) -> bool:
         return all(a == 0 for a in g)
-
-    def _check(self, g: Elem):
-        if len(g) != len(self.moduli):
-            raise ValidationError(
-                f"element length {len(g)} != group rank {len(self.moduli)}"
-            )
 
     # -- enumeration (finite groups only) ------------------------------------
 
@@ -110,24 +98,10 @@ class GroupSpec:
         flat_index/coord_array expose the same bijection."""
         if not self.is_finite:
             raise UnsupportedError("cannot enumerate an infinite group")
-
-        def rec(j: int, prefix: tuple[int, ...]) -> Iterator[Elem]:
-            if j == len(self.moduli):
-                yield prefix
-                return
-            for c in range(self.moduli[j]):
-                yield from rec(j + 1, prefix + (c,))
-
-        return rec(0, ())
+        return itertools.product(*map(range, self.moduli))
 
     def index_of(self, g: Elem) -> int:
-        self._check(g)
-        idx = 0
-        for c, m in zip(g, self.moduli):
-            if m < 1:
-                raise UnsupportedError("cannot index elements of an infinite group")
-            idx = idx * m + (c % m)
-        return idx
+        return int(self.flat_index(self.reduce(g)))
 
     def elem_at(self, idx: int) -> Elem:
         if not self.is_finite:
@@ -141,8 +115,6 @@ class GroupSpec:
     def coord_array(self) -> np.ndarray:
         """Coordinates of every element, shape (order, rank), row i being
         elem_at(i)."""
-        if not self.is_finite:
-            raise UnsupportedError("cannot index elements of an infinite group")
         return np.stack(np.unravel_index(np.arange(self.order), self.moduli), axis=-1)
 
     def flat_index(self, coords) -> np.ndarray:

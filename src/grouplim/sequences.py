@@ -115,27 +115,19 @@ def value_histogram(
     """Distribution of the value table under the uniform measure."""
     if bins < 1:
         raise ValidationError("need at least one bin")
-    vals = f.values
+
+    def span(x, given):
+        lo, hi = given if given else (float(x.min()), float(x.max()))
+        return (lo, lo + 1.0) if hi <= lo else (lo, hi)
+
+    re, im = f.values.real, f.values.imag
+    r_re = span(re, range_re)
     if f.is_real():
-        x = vals.real
-        lo, hi = range_re if range_re else (float(x.min()), float(x.max()))
-        if hi <= lo:
-            hi = lo + 1.0
-        counts, edges = np.histogram(np.clip(x, lo, hi), bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(np.clip(re, *r_re), bins=bins, range=r_re)
         return Histogram(edges, None, counts / counts.sum())
-    re, im = vals.real, vals.imag
-    lo_r, hi_r = range_re if range_re else (float(re.min()), float(re.max()))
-    lo_i, hi_i = range_im if range_im else (float(im.min()), float(im.max()))
-    if hi_r <= lo_r:
-        hi_r = lo_r + 1.0
-    if hi_i <= lo_i:
-        hi_i = lo_i + 1.0
+    r_im = span(im, range_im)
     counts, edges_re, edges_im = np.histogram2d(
-        np.clip(re, lo_r, hi_r),
-        np.clip(im, lo_i, hi_i),
-        bins=bins,
-        range=((lo_r, hi_r), (lo_i, hi_i)),
-    )
+        np.clip(re, *r_re), np.clip(im, *r_im), bins=bins, range=(r_re, r_im))
     return Histogram(edges_re, edges_im, counts.reshape(-1) / counts.sum())
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, UnsupportedError, refuse_overflow
+from .errors import BudgetError, refuse_overflow
 from .functions import DenseFn, SparseFn
 from .groups import GroupSpec
 
@@ -67,21 +67,29 @@ def dft_naive(f: DenseFn) -> np.ndarray:
 def idft(fhat: SparseFn) -> DenseFn:
     """Inverse transform f(x) = sum_r fhat(r) chi_r(x) on a finite dual."""
     G = fhat.group
-    if not G.is_finite:
-        raise UnsupportedError("idft requires a finite dual group")
-    n = G.order
-    spec = np.zeros(n, dtype=np.complex128)
-    for r, v in fhat.entries.items():
-        spec[G.index_of(r)] = v
-    grid = np.fft.ifftn(spec.reshape(G.moduli)) * n
+    spec = np.zeros(G.order, dtype=np.complex128)
+    spec[G.flat_index(np.reshape(list(fhat.entries), (-1, G.rank)))] = list(fhat.entries.values())
+    grid = np.fft.ifftn(spec.reshape(G.moduli)) * G.order
     return DenseFn(G, grid.reshape(-1))
+
+
+def _rescaled(norm, a: np.ndarray, degree: float) -> float:
+    """norm(a) for magnitudes a >= 0, norm being homogeneous of the given
+    degree.  Only where norm's powers or sums overflow is a first divided
+    by a power of four s that leaves its largest entry in [1, 4), and the
+    result multiplied back by s**degree, a power of two for degree 1 or
+    1/2."""
+    try:
+        return float(norm(a))
+    except FloatingPointError:
+        s = 4.0 ** ((int(np.frexp(np.max(a))[1]) - 1) // 2)
+        return float(norm(a / s) * s**degree)
 
 
 @refuse_overflow("the U2 norm")
 def u2_fourier(f: DenseFn) -> float:
     """U2 norm via the spectral formula: the l4 norm of the spectrum."""
-    spec = spectrum_array(f)
-    return float(np.sum(np.abs(spec) ** 4) ** 0.25)
+    return _rescaled(lambda a: np.sum(a**4) ** 0.25, np.abs(spectrum_array(f)), 1)
 
 
 @refuse_overflow("the U2 norm")
@@ -99,10 +107,8 @@ def u2_direct(f: DenseFn, max_order: int = U2_DIRECT_MAX_ORDER) -> float:
         )
     coords = G.coord_array()
     vals = f.values
-    acc = 0.0
-    for a in range(n):
-        shifted = G.flat_index(coords + coords[a])
-        c_a = np.mean(vals * np.conj(vals[shifted]))
-        acc += abs(c_a) ** 2
-    total = acc / n
-    return float(total**0.25)
+    # scalar abs and powers added in index order: NumPy's vector forms
+    # round some of them differently in the last bit
+    autocorr = np.array([abs(np.mean(vals * np.conj(vals[G.flat_index(coords + a)])))
+                         for a in coords])
+    return _rescaled(lambda c: (sum(x**2 for x in c) / n) ** 0.25, autocorr, 0.5)

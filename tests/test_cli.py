@@ -336,6 +336,42 @@ def test_config_file_supplies_defaults(capsys, tmp_path, dense_file):
     assert payload["method"] == "direct"
 
 
+def test_config_file_supplies_a_required_option(capsys, tmp_path, dense_file):
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text("seed = 3\n")
+    code, out = run(capsys, ["--config-file", str(cfg), "round", "--fn", dense_file])
+    assert code == 0
+    assert parse(out)[1]["seed"] == 3
+
+
+def test_config_file_values_are_checked_by_type_and_choices(capsys, tmp_path, dense_file):
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text("method = bogus\n")
+    assert run(capsys, ["--config-file", str(cfg), "u2", "--fn", dense_file]) == (1, "")
+
+
+def test_config_file_false_flag_stays_off(capsys, tmp_path, dense_file):
+    doubled = tmp_path / "doubled.json"
+    with open(dense_file) as fh:
+        f = DenseFn.from_json(json.load(fh))
+    doubled.write_text(json.dumps(DenseFn(f.group, 2 * f.values).to_json()))
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text("tight = false\n")
+    argv = ["dist", "--lhs", dense_file, "--rhs", str(doubled)]
+    brackets = [parse(run(capsys, pre + argv + post)[1])[0]
+                for pre, post in (([], []), ([], ["--tight"]), (["--config-file", str(cfg)], []))]
+    assert brackets[2] == brackets[0] != brackets[1]
+
+
+def test_u2_of_a_value_whose_fourth_power_overflows_exits_0(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"group": {"moduli": [5]}, "values": [[1e100, 0.0]] * 5}))
+    for method in ("fourier", "direct"):
+        code, out = run(capsys, ["u2", "--fn", str(path), "--method", method])
+        assert code == 0
+        assert parse(out)[0]["u2"] == 1e100
+
+
 def test_exit_code_validation(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,9 +1,11 @@
 """Group arithmetic, enumeration, and serialization."""
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from grouplim import GroupSpec, make_group
-from grouplim.errors import ValidationError
+from grouplim import GroupSpec, SparseFn, indicator_fn, make_group
+from grouplim.errors import UnsupportedError, ValidationError
+from grouplim.spectral import idft
 
 small_moduli = st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3)
 
@@ -67,6 +69,53 @@ def test_vectorized_indexing_matches_scalar_bijection(moduli, data):
 def test_enumeration_requires_finite():
     with pytest.raises(ValidationError):
         list(make_group([0, 3]).elements())
+
+
+def test_enumeration_is_lazy():
+    assert next(make_group([10**6, 10**6]).elements()) == (0, 0)
+
+
+def _index_loop(G, g):
+    """Mixed-radix index in Python integers, the reference for index_of."""
+    idx = 0
+    for c, m in zip(g, G.moduli):
+        idx = idx * m + c % m
+    return idx
+
+
+CODEC_GROUPS = [make_group([m]) for m in range(1, 13)] + [
+    make_group(m) for m in ([2, 6], [3, 5], [2, 2, 2])]
+
+
+@pytest.mark.parametrize("G", CODEC_GROUPS, ids=str)
+def test_index_of_idft_and_indicator_match_per_element_loops(G):
+    rng = np.random.default_rng(G.order)
+    gs = [tuple(int(c) for c in rng.integers(-30, 30, G.rank)) for _ in range(12)]
+    gs += [(2**64 + 5,) * G.rank, (-(2**70) - 1,) * G.rank]
+    assert [G.index_of(g) for g in gs] == [_index_loop(G, g) for g in gs]
+    for subset in ([], gs[:1], gs):
+        vals = np.zeros(G.order, dtype=np.complex128)
+        for g in subset:
+            vals[_index_loop(G, g)] = 1.0
+        assert np.array_equal(indicator_fn(G, subset).values, vals)
+    for entries in ({}, {g: complex(*rng.normal(size=2)) for g in gs}):
+        fhat = SparseFn(G, entries)
+        spec = np.zeros(G.order, dtype=np.complex128)
+        for r, v in fhat.entries.items():
+            spec[_index_loop(G, r)] = v
+        grid = np.fft.ifftn(spec.reshape(G.moduli)) * G.order
+        assert np.array_equal(idft(fhat).values, grid.reshape(-1))
+
+
+@pytest.mark.parametrize("moduli", [[0], [0, 3], [4, 0]])
+def test_free_factors_are_refused_by_enumeration_and_indexing(moduli):
+    G = make_group(moduli)
+    calls = [G.elements, G.coord_array, lambda: G.index_of((1,) * G.rank),
+             lambda: G.flat_index([(1,) * G.rank]), lambda: G.elem_at(0),
+             lambda: idft(SparseFn(G, {(1,) * G.rank: 1.0}))]
+    for call in calls:
+        with pytest.raises(UnsupportedError):
+            call()
 
 
 def test_dual_of_finite_group_is_itself(z12):

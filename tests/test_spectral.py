@@ -82,6 +82,24 @@ def test_overflowing_transforms_are_refused():
             route(huge)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", [u2_fourier, u2_direct])
+def test_u2_is_scaled_only_where_its_fourth_powers_overflow(route):
+    # (1e100)^4 overflows, the norm itself does not
+    assert route(constant_fn(make_group([5]), 1e100)) == 1e100
+    for G in GROUPS:
+        f = random_dense(G, seed=41)
+        big = DenseFn(G, 2.0**300 * f.values)
+        assert route(big) == pytest.approx(2.0**300 * route(f), rel=1e-15)
+
+
+def test_u2_fourier_keeps_the_plain_bits_and_reaches_the_top_of_the_range():
+    f = random_dense(GROUPS[1], seed=42)
+    assert u2_fourier(f) == float(np.sum(np.abs(spectrum_array(f)) ** 4) ** 0.25)
+    # the autocorrelation of this constant overflows, its spectrum does not
+    assert u2_fourier(constant_fn(make_group([1]), 1.5e308)) == 1.5e308
+
+
 @pytest.mark.parametrize("G", GROUPS, ids=str)
 def test_u2_direct_equals_u2_fourier(G):
     for seed in range(5):
