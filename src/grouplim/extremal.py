@@ -12,6 +12,7 @@ no rate is available, so results are labeled per-p.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -314,20 +315,22 @@ def _minimize_grid(
     delta, then restart r from an RNG stream keyed by (seed, r).  All runs
     of all deltas share one _pgd pool, so that no call allocates more than
     about CALL_BYTES; the best final value wins, ties broken by restart
-    index.  Also returns the stats of OptResult, with each per-run list
-    holding the runs of every delta in turn."""
+    index.  Runs go restart by restart, each over every delta, so restart
+    r's start is drawn once per call and only the last draw is kept.  Also
+    returns the stats of OptResult, with each per-run list in that order."""
     sols = dual_constraint_solutions(config, group)
-    n = group.order
-    runs = max(restarts, 0) + 1
+    n, k = group.order, len(deltas)
 
-    def start(i):
-        d, r = divmod(i, runs)
-        if not r:
-            return np.full(n, deltas[d])
+    @functools.lru_cache(maxsize=1)
+    def draw(r):
         return np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
 
-    run_deltas = np.repeat(np.asarray(deltas, dtype=np.float64), runs)
-    best, stats = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) // runs,
+    def start(i):
+        r, d = divmod(i, k)
+        return draw(r) if r else np.full(n, deltas[d])
+
+    run_deltas = np.tile(np.asarray(deltas, dtype=np.float64), max(restarts, 0) + 1)
+    best, stats = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) % k,
                        max_iter, grad_tol)
     return [b[1:] for b in best], stats
 

@@ -12,8 +12,9 @@ reported as a certified bracket between adjacent critical candidates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -139,53 +140,148 @@ class _Budget:
             raise BudgetError("search node budget exceeded")
 
 
-def _relations_consistent(
-    gs: list[Elem],
-    hs: list[Elem],
-    g1: GroupSpec,
-    g2: GroupSpec,
-    weight: int,
-    budget: _Budget,
-) -> bool:
-    """True iff every signed relation c with sum|c| <= weight holds on the
-    gs side exactly when it holds on the hs side.
+class _Ball:
+    """The elements of G1 x G2 reached by words of length <= weight in the
+    generators +-(g_i, h_i) of a map's pairs g_i -> h_i, each with the
+    length of its shortest word.  A relation c with sum|c| <= weight holds
+    on one side only iff such a word lands on an axis, G1 x 0 or 0 x G2,
+    away from 0; so the map keeps every such relation iff no element of
+    the ball but 0 lies on an axis.
 
-    A word of length <= weight in the generators +-(g_i, h_i) of G1 x G2 is
-    such a c, so the map is consistent iff the radius-weight ball around 0
-    holds no (a, 0) with a != 0 and no (0, b) with b != 0.  Breadth-first
-    search over the ball, one budget node per step tried: O(|ball| * k)."""
-    rank1 = len(g1.moduli)
-    mods = g1.moduli + g2.moduli
-    steps = [tuple(sign * x for x in tuple(g) + tuple(h))
-             for g, h in zip(gs, hs) for sign in (1, -1)]
-    zero = (0,) * len(mods)
-    seen = {zero}
-    frontier = [zero]
-    for _ in range(weight):
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                budget.spend()
-                y = tuple(
-                    (a + b) % m if m >= 1 else a + b for a, b, m in zip(x, s, mods)
-                )
-                if y in seen:
+    push adds a pair.  The group is abelian, so a word in the new
+    generators is one in the old generators plus a multiple of (g, h): the
+    ball grows by sweeping along +-(g, h).  Every element steps by +-(g, h),
+    nearest first, and an element reached for the first time, or by a
+    shorter word, steps on; stepping it by the older generators too would
+    reach nothing new.
+    Only new elements are tested against the axes.  pop restores the ball
+    from an undo log.  One budget node is charged per step tried.
+
+    A step is one map over all coordinates, each taken mod its factor's
+    modulus.  A free factor Z gets the modulus 2 * weight * c + 1, c the
+    largest |coordinate| in that factor of the elements the pairs are drawn
+    from (elems1, elems2): coordinates in the ball lie in
+    [-weight * c, weight * c], where that reduction is injective and keeps
+    0 the only zero."""
+
+    def __init__(self, g1: GroupSpec, g2: GroupSpec, weight: int, budget: _Budget,
+                 elems1: Iterable[Elem], elems2: Iterable[Elem]):
+        self.mods = tuple(
+            m or 2 * weight * max((abs(x[j]) for x in elems), default=0) + 1
+            for group, elems in ((g1, list(elems1)), (g2, list(elems2)))
+            for j, m in enumerate(group.moduli))
+        self.rank1, self.weight, self.budget = len(g1.moduli), weight, budget
+        self.dist = {(0,) * len(self.mods): 0}
+        # per pushed pair: (g, h, length of the log before its push); the
+        # log holds (element, its distance before, or None if it was new)
+        self.stack: list[tuple[Elem, Elem, int]] = []
+        self.log: list[tuple[Elem, Optional[int]]] = []
+
+    def push(self, g: Elem, h: Elem) -> bool:
+        """Add the pair g -> h; False as soon as a new element lies on an
+        axis, the ball then left part-grown until the next pop."""
+        mods, dist, log, weight, rank1 = self.mods, self.dist, self.log, self.weight, self.rank1
+        t = tuple(g) + tuple(h)
+        steps = (tuple(map(operator.mod, t, mods)),
+                 tuple(map(operator.mod, map(operator.neg, t), mods)))
+        self.stack.append((g, h, len(log)))
+        # levels[d]: the elements to sweep from at distance d, in order
+        levels: list[list[Elem]] = [[] for _ in range(weight + 1)]
+        for x, d in dist.items():
+            levels[d].append(x)
+        for d in range(weight):
+            for x in levels[d]:
+                if dist[x] < d:  # reached by a shorter word since
                     continue
-                if any(y[:rank1]) != any(y[rank1:]):
-                    return False
-                seen.add(y)
-                nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return True
+                for s in steps:
+                    self.budget.spend()
+                    y = tuple(map(operator.mod, map(operator.add, x, s), mods))
+                    old = dist.get(y)
+                    if old is None:
+                        if any(y[:rank1]) != any(y[rank1:]):
+                            return False
+                    elif old <= d + 1:
+                        continue
+                    log.append((y, old))
+                    dist[y] = d + 1
+                    levels[d + 1].append(y)
+        return True
+
+    def pop(self) -> None:
+        mark, dist = self.stack.pop()[2], self.dist
+        for y, old in reversed(self.log[mark:]):
+            if old is None:
+                del dist[y]
+            else:
+                dist[y] = old
+        del self.log[mark:]
+
+    def extend(self, gs: list[Elem], hs: list[Elem]) -> bool:
+        """Whether the map gs -> hs keeps every relation of weight <=
+        weight, given that the map without its last pair does.  The ball
+        pops its pairs from the first that differs from the map's, and
+        pushes those of the map's that it lacks."""
+        k, n = len(gs) - 1, 0
+        while n < min(k, len(self.stack)) and self.stack[n][:2] == (gs[n], hs[n]):
+            n += 1
+        while len(self.stack) > n:
+            self.pop()
+        for g, h in zip(gs[n:k], hs[n:k]):
+            self.push(g, h)
+        return self.push(gs[k], hs[k])
+
+
+class _Verdicts:
+    """The relation verdicts of one bracket, shared by its probes.  A
+    prefix of a search map is keyed by its parent prefix's id and its last
+    pair, and holds the highest weight at which it is known consistent and
+    the lowest at which it is known inconsistent.  A map consistent at a
+    weight is consistent at every lower one, so a verdict is reused only in
+    that direction.  At most limit prefixes are kept; the others are
+    checked each time they come up."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.ids: dict[tuple[int, Elem, Elem], int] = {}
+        # per prefix id, 0 being the empty map
+        self.ok, self.bad = [0], [math.inf]
+
+    def checker(self, ball: _Ball) -> Callable[[list[Elem], list[Elem]], bool]:
+        """The consistent(gs, hs) of _search at ball's weight: a known
+        verdict costs nothing, another is computed by ball.extend."""
+        ids, ok, bad, weight = self.ids, self.ok, self.bad, ball.weight
+        # ids of the prefixes of the search's current map, -1 for one not kept
+        path = [0]
+
+        def consistent(gs: list[Elem], hs: list[Elem]) -> bool:
+            del path[len(gs):]
+            key = (path[-1], gs[-1], hs[-1])
+            i = ids.get(key) if path[-1] >= 0 else None
+            if i is not None and weight <= ok[i]:
+                path.append(i)
+                return True
+            if i is not None and weight >= bad[i]:
+                return False
+            res = ball.extend(gs, hs)
+            if i is None and path[-1] >= 0 and len(ids) < self.limit:
+                i = ids[key] = len(ok)
+                ok.append(0)
+                bad.append(math.inf)
+            if i is not None:
+                (ok if res else bad)[i] = weight
+            if res:
+                path.append(-1 if i is None else i)
+            return res
+
+        return consistent
 
 
 def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     """Full weight-n relation check for an explicit map."""
     gs = [g1.reduce(g) for g in phi.domain()]
     hs = [g2.reduce(h) for h in phi.image()]
-    return _relations_consistent(gs, hs, g1, g2, phi.weight, _Budget(DEFAULT_NODE_BUDGET))
+    ball = _Ball(g1, g2, phi.weight, _Budget(DEFAULT_NODE_BUDGET), gs, hs)
+    return all(ball.push(g, h) for g, h in zip(gs, hs))
 
 
 def _search(
@@ -261,14 +357,27 @@ def exists_eps_iso(
     Returns a witnessing PartialIso or None when the (exhaustive,
     budget-bounded) backtracking proves none exists.  Raises BudgetError if
     the node cap was hit, which is distinguishable from a definite None."""
+    return _eps_iso(f1, f2, eps, weight, node_budget, _Verdicts(node_budget))
+
+
+def _eps_iso(
+    f1: SparseFn,
+    f2: SparseFn,
+    eps: float,
+    weight: Optional[int],
+    node_budget: int,
+    verdicts: _Verdicts,
+) -> Optional[PartialIso]:
+    """exists_eps_iso, reusing and adding to the relation verdicts of a
+    bracket."""
     sources, targets = sorted(supp_eps(f1, eps)), supp_eps(f2, eps)
     if weight is None:
         weight = max(1, math.ceil(1.0 / eps - 1e-12))
     elif weight < 1:
         raise ValidationError("weight must be a positive integer")
     budget = _Budget(node_budget)
-    pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, lambda gs, hs:
-                    _relations_consistent(gs, hs, f1.group, f2.group, weight, budget))
+    ball = _Ball(f1.group, f2.group, weight, budget, f1.entries, f2.entries)
+    pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, verdicts.checker(ball))
     return None if pairs is None else PartialIso(pairs, weight)
 
 
@@ -347,6 +456,7 @@ def dhat(
         return DistBracket(0.0, 0.0, witness=exact_iso, exact=True)
 
     cands = _critical_candidates(f1, f2, weight_cap)
+    verdicts = _Verdicts(node_budget)
     # bad: largest index verified infeasible; good: least verified feasible
     bad, good, witness, capped, unknown = -1, None, None, False, []
 
@@ -355,8 +465,7 @@ def dhat(
         eps = cands[i]
         req_weight = max(1, math.ceil(1.0 / eps - 1e-12))
         try:
-            wit = exists_eps_iso(f1, f2, eps, weight=min(req_weight, weight_cap),
-                                 node_budget=node_budget)
+            wit = _eps_iso(f1, f2, eps, min(req_weight, weight_cap), node_budget, verdicts)
         except BudgetError:
             unknown.append(i)
             return None

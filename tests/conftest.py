@@ -21,8 +21,8 @@ from grouplim.metric import (
     DEFAULT_WEIGHT_CAP,
     EXACT_TOL,
     PartialIso,
+    _Ball,
     _Budget,
-    _relations_consistent,
 )
 from grouplim.spectral import spectrum_array
 
@@ -99,6 +99,7 @@ def exact_iso_oracle(
         return None
     g1, g2 = f1.group, f2.group
     budget = _Budget(node_budget)
+    ball = _Ball(g1, g2, DEFAULT_WEIGHT_CAP, budget, e1, e2)
     gs: list = []
     hs: list = []
     used: set = set()
@@ -117,12 +118,13 @@ def exact_iso_oracle(
             gs.append(g)
             hs.append(h)
             # weight-capped pruning before the exact check
-            if _relations_consistent(gs, hs, g1, g2, DEFAULT_WEIGHT_CAP, budget):
+            if ball.push(g, h):
                 used.add(h)
                 res = rec(i + 1)
                 if res is not None:
                     return res
                 used.discard(h)
+            ball.pop()
             gs.pop()
             hs.pop()
         return None

@@ -295,6 +295,21 @@ def test_rho_curve_rows_equal_single_minimizations():
         assert np.allclose(row["f_star"].values, res.f_star.values, rtol=0, atol=1e-9)
 
 
+def test_rho_curve_draws_each_restart_start_once(monkeypatch):
+    # restart r starts from the same vector at every delta, so a curve
+    # draws it once, not once per delta
+    keys = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda key: keys.append(key) or philox(key=key))
+    rows = rho_curve(builtin_config("ap3"), 31, [0.1 * i for i in range(1, 10)], restarts=16,
+                     seed=7)
+    assert sorted(keys) == [(7 << 20) + r for r in range(16)]
+    for row in rows[::4]:
+        res = minimize_density(builtin_config("ap3"), 31, row["delta"], restarts=16, seed=7)
+        assert row["value"] == res.value
+        assert row["f_star"].values.tobytes() == res.f_star.values.tobytes()
+
+
 def test_chunked_runs_match_one_batch(monkeypatch):
     cfg = builtin_config("ap3")
     deltas = [0.25, 0.5, 0.75]
@@ -440,11 +455,12 @@ def test_pool_rows_match_serial_runs_within_the_call_bound(name, moduli, max_ite
     for i, (f, val, gnorm, trace, _) in enumerate(serial):
         assert vals[i] == val and gnorms[i] == gnorm and traces[i] == trace
         assert np.array_equal(F[i], f)
-    # the best run of each delta, its point and its trace
+    # the best run of each delta, its point and its trace; runs go restart
+    # by restart, each over every delta
     runs = restarts + 1
     assert len(best) == len(results) == len(deltas)
     for d, (f, val, gnorm, trace) in enumerate(results):
-        run = min(range(d * runs, (d + 1) * runs), key=lambda i: (serial[i][1], i))
+        run = min(range(d, len(deltas) * runs, len(deltas)), key=lambda i: (serial[i][1], i))
         assert best[d][0] == run and np.array_equal(best[d][1], f)
         assert np.array_equal(f, serial[run][0])
         assert (val, gnorm, trace) == serial[run][1:4]

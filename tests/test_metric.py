@@ -303,12 +303,12 @@ def test_starved_bracket_makes_logarithmically_many_probes(monkeypatch, moduli, 
     s1, s2 = dft(random_dense(G, seed)), dft(random_dense(G, seed + 100))
     n = len(metric._critical_candidates(s1, s2, metric.DEFAULT_WEIGHT_CAP))
     probes = []
-    search = metric.exists_eps_iso
-    monkeypatch.setattr(metric, "exists_eps_iso",
+    search = metric._eps_iso
+    monkeypatch.setattr(metric, "_eps_iso",
                         lambda *a, **k: probes.append(a[2]) or search(*a, **k))
     b = dhat(s1, s2, node_budget=node_budget)
     assert b.budget_exceeded and b.lo <= b.hi
-    assert len(probes) <= 2 * math.ceil(math.log2(n)) + 1 < n
+    assert 0 < len(probes) <= 2 * math.ceil(math.log2(n)) + 1 < n
     assert len(set(probes)) == len(probes)
 
 
@@ -321,7 +321,7 @@ def test_bisection_past_unknown_probes_stays_certified(n, data):
     unknown = data.draw(st.sets(st.integers(0, n - 1)))
     probes = []
 
-    def probe(f1, f2, eps, weight, node_budget):
+    def probe(f1, f2, eps, weight, node_budget, verdicts):
         probes.append(int(eps) - 1)
         if probes[-1] in unknown:
             raise BudgetError("out of nodes")
@@ -331,7 +331,7 @@ def test_bisection_past_unknown_probes_stays_certified(n, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_critical_candidates", lambda *a: [float(i + 1) for i in range(n)])
         mp.setattr(metric, "_exact_iso", lambda *a: None)
-        mp.setattr(metric, "exists_eps_iso", probe)
+        mp.setattr(metric, "_eps_iso", probe)
         try:
             b = dhat(f, f)
         except BudgetError:
@@ -429,3 +429,145 @@ def test_dhat_probes_eps_above_one_at_weight_one():
     G = make_group([5])
     b = dhat(SparseFn(G, {(1,): 2e12}), SparseFn(G, {(2,): 3e12}))
     assert (b.lo, b.hi, b.witness.weight) == (1.0, 1e12, 1)
+
+
+@st.composite
+def _free_pools(draw):
+    """Z x Z_5 or Z^2 on each side, and pairs whose two sides are small
+    combinations a*u + b*v of two random elements u, v with coordinates up
+    to 10^12.  The image often takes the domain's coefficients, so
+    relations hold on both sides, on one only, or (same group and same
+    u, v) on both at every weight."""
+    g1, g2 = (make_group(draw(st.sampled_from([[0, 5], [0, 0]]))) for _ in range(2))
+    big = st.integers(-10**12, 10**12)
+
+    def vec(G):
+        return tuple(draw(big) if m == 0 else draw(st.integers(0, m - 1)) for m in G.moduli)
+
+    uv1 = (vec(g1), vec(g1))
+    uv2 = (uv1 if g1 == g2 and draw(st.booleans()) else (vec(g2), vec(g2)))
+    coef = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        c1 = draw(coef)
+        c2 = c1 if draw(st.booleans()) else draw(coef)
+        pool.append((g1.signed_combination(c1, uv1), g2.signed_combination(c2, uv2)))
+    return g1, g2, pool
+
+
+def _with_combinations(case):
+    """The pool grown by the double and the negative of each pair and the
+    sum of each two neighbours, so that pushes often reach an element by a
+    shorter word than before."""
+    g1, g2, pool = case
+    more = [(g1.scale(c, g), g2.scale(c, h)) for g, h in pool for c in (2, -1)]
+    more += [(g1.add(a, b), g2.add(c, d)) for (a, c), (b, d) in zip(pool, pool[1:])]
+    return g1, g2, pool + more
+
+
+_ball_pools = st.one_of(_injective_maps().map(lambda m: (m[0], m[1], list(zip(m[2], m[3])))),
+                        _free_pools()).map(_with_combinations)
+
+
+def _fresh_ball(g1, g2, weight, pool, gs, hs):
+    ball = metric._Ball(g1, g2, weight, metric._Budget(DEFAULT_NODE_BUDGET),
+                        [g for g, _ in pool], [h for _, h in pool])
+    assert all(ball.push(g, h) for g, h in zip(gs, hs))
+    return ball
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_pools, st.integers(1, 12), st.data())
+def test_ball_push_pop_matches_enumeration_oracle(case, weight, data):
+    # a random walk of pushes and pops: every pushed prefix gets the
+    # oracle's verdict, and after each step the ball, distances included,
+    # is the one built from scratch by pushing the current prefix
+    g1, g2, pool = case
+    ball = _fresh_ball(g1, g2, weight, pool, [], [])
+    gs, hs = [], []
+    for _ in range(data.draw(st.integers(1, 8))):
+        if gs and (len(gs) == 3 or data.draw(st.booleans())):
+            ball.pop()
+            gs.pop()
+            hs.pop()
+        else:
+            g, h = data.draw(st.sampled_from(pool))
+            gs.append(g)
+            hs.append(h)
+            ok = ball.push(g, h)
+            assert ok == relations_consistent_enum(gs, hs, g1, g2, weight)
+            if not ok:  # a failed push leaves the ball part-grown until popped
+                ball.pop()
+                gs.pop()
+                hs.pop()
+        assert ball.dist == _fresh_ball(g1, g2, weight, pool, gs, hs).dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(_free_pools(), st.integers(1, 12))
+def test_check_partial_iso_matches_oracle_on_huge_free_coordinates(case, weight):
+    # the free factor is reduced mod 2 * weight * max|coord| + 1, which
+    # must keep every relation among coordinates near 10^12
+    g1, g2, pool = case
+    gs, hs = [g for g, _ in pool], [h for _, h in pool]
+    if len(set(gs)) < len(gs) or len(set(hs)) < len(hs):
+        return
+    phi = PartialIso(tuple(pool), weight)
+    assert check_partial_iso(phi, g1, g2) == relations_consistent_enum(gs, hs, g1, g2, weight)
+
+
+def _near_spectra(moduli, seed):
+    G = make_group(moduli)
+    f = random_dense(G, seed)
+    return dft(f), dft(DenseFn(G, f.values + 0.02 * random_dense(G, seed + 100).values))
+
+
+@pytest.mark.parametrize("pair, node_budget", [
+    (lambda: _near_spectra([7], 3), 10**5), (lambda: _near_spectra([2, 4], 4), 10**5),
+    (lambda: _near_spectra([9], 3), 300), (lambda: _near_spectra([12], 5), 1000),
+    (lambda: (random_sparse(make_group([8]), 0, 5), random_sparse(make_group([10]), 50, 5)),
+     10**5),
+    (lambda: (random_sparse(make_group([12]), 1, 5), random_sparse(make_group([6]), 51, 5)),
+     10**5)])
+def test_bracket_computes_each_relation_verdict_once(monkeypatch, pair, node_budget):
+    # near pairs, whose probes revisit the same prefixes of their maps, and
+    # sparse pairs, whose searches leave consistent prefixes.  Within one
+    # dhat no (prefix, weight) verdict is computed twice, and the memo
+    # keeps at most node_budget prefixes, each with the verdicts of the map
+    # its key chain spells; capped at 3 prefixes or at none, it recomputes
+    # verdicts but gives the same bracket
+    s1, s2 = pair()
+    extended, memos = [], []
+    extend, init = metric._Ball.extend, metric._Verdicts.__init__
+
+    def spy_extend(ball, gs, hs):
+        res = extend(ball, gs, hs)
+        extended.append((tuple(zip(gs, hs)), ball.weight))
+        return res
+
+    monkeypatch.setattr(metric._Ball, "extend", spy_extend)
+    runs = {}
+    for cap in (None, 3, 0):
+        monkeypatch.setattr(metric._Verdicts, "__init__", lambda memo, limit: init(
+            memo, limit if cap is None else cap) or memos.append(memo))
+        extended.clear()
+        memos.clear()
+        b = dhat(s1, s2, node_budget=node_budget)
+        [memo] = memos
+        assert len(memo.ids) <= (node_budget if cap is None else cap)
+        runs[cap] = b.to_json(), list(extended)
+        # every verdict kept is the ball's for the map its key chain spells
+        prefix = {0: ()}
+        for (parent, g, h), i in memo.ids.items():
+            prefix[i] = prefix[parent] + ((g, h),)
+            for w, verdict in ((memo.ok[i], True), (memo.bad[i], False)):
+                if 0 < w < math.inf:
+                    ball = metric._Ball(s1.group, s2.group, w,
+                                        metric._Budget(DEFAULT_NODE_BUDGET), s1.entries,
+                                        s2.entries)
+                    assert all(ball.push(g, h) for g, h in prefix[i]) == verdict
+    bracket, extended = runs[None]
+    assert not bracket["budget_exceeded"]
+    assert len(set(extended)) == len(extended)
+    assert runs[3][0] == runs[0][0] == bracket
+    assert set(extended) <= set(runs[0][1]) and len(extended) < len(runs[0][1])
