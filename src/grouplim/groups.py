@@ -8,6 +8,7 @@ mod m_j whenever m_j >= 1), so equality and hashing are structural.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -37,7 +38,7 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.moduli)
 
-    @property
+    @functools.cached_property
     def is_finite(self) -> bool:
         return all(m >= 1 for m in self.moduli)
 
@@ -61,6 +62,8 @@ class GroupSpec:
             raise ValidationError(
                 f"coordinate length {len(coords)} != group rank {len(self.moduli)}"
             )
+        if self.is_finite:
+            return tuple(map(operator.mod, map(int, coords), self.moduli))
         return tuple(
             int(c) % m if m >= 1 else int(c) for c, m in zip(coords, self.moduli)
         )

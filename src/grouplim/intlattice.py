@@ -10,10 +10,12 @@ One echelon basis both counts and enumerates a solution group mod m.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
+from .errors import ValidationError
 from .groups import Elem, GroupSpec
 
 
@@ -102,11 +104,24 @@ def relations_match(
 ) -> bool:
     """True iff the relation lattices of the two element tuples coincide,
     i.e. the pairing g_i -> h_i extends to an isomorphism of the generated
-    subgroups."""
-    return len(elems1) == len(elems2) and all(
-        gb.is_zero(gb.signed_combination(c, eb))
-        for ea, ga, eb, gb in ((elems1, g1, elems2, g2), (elems2, g2, elems1, g1))
-        for c in relation_lattice_basis(ea, ga))
+    subgroups.
+
+    Each basis relation c of one side is checked on the other with one sum
+    sum_i c_i * h_i per coordinate, which must be 0 mod its modulus, or
+    exactly 0 for a free factor."""
+    if len(elems1) != len(elems2):
+        return False
+    for elems, group in ((elems1, g1), (elems2, g2)):
+        if set(map(len, elems)) - {group.rank}:
+            raise ValidationError(f"every element must have length {group.rank}")
+    for ea, ga, eb, gb in ((elems1, g1, elems2, g2), (elems2, g2, elems1, g1)):
+        cols = list(zip(*eb))
+        for c in relation_lattice_basis(ea, ga):
+            for col, m in zip(cols, gb.moduli):
+                s = sum(map(operator.mul, c, col))
+                if s % m if m else s:
+                    return False
+    return True
 
 
 def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:

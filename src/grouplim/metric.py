@@ -284,6 +284,34 @@ def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     return all(ball.push(g, h) for g, h in zip(gs, hs))
 
 
+def _sorted_partners(v: complex, entries: dict[Elem, complex], tol: float) -> list[Elem]:
+    """The elements of entries whose values lie within tol of v, in the
+    order (|v - w|, element)."""
+    near = ((abs(v - w), x) for x, w in entries.items())
+    return [x for _, x in sorted(c for c in near if c[0] <= tol)]
+
+
+class _Partners:
+    """The partner lists of one search, each value's sorted once: a value
+    of f1 (cover False) pairs with entries of f2, a value of f2 (cover
+    True) with entries of f1.  At most limit partners are kept in all; a
+    list that does not fit is sorted again each time it comes up."""
+
+    def __init__(self, f1: SparseFn, f2: SparseFn, tol: float, limit: int):
+        self.sides = ((f2.entries, {}), (f1.entries, {}))
+        self.tol, self.room = tol, limit
+
+    def __call__(self, v: complex, cover: bool) -> list[Elem]:
+        entries, memo = self.sides[cover]
+        found = memo.get(v)
+        if found is None:
+            found = _sorted_partners(v, entries, self.tol)
+            if len(found) <= self.room:
+                memo[v] = found
+                self.room -= len(found)
+        return found
+
+
 def _search(
     f1: SparseFn,
     f2: SparseFn,
@@ -301,25 +329,23 @@ def _search(
     the least target not yet in the image is covered from f1's entries,
     until none is left.  The partners of an element are the other
     function's entries within tol of its value, tried in the order
-    (|f1(g) - f2(h)|, element).  Returns the pairs of the first complete
-    map, or None when no map exists.
+    (|f1(g) - f2(h)|, element), and sorted once per search (_Partners).
+    Returns the pairs of the first complete map, or None when no map
+    exists.
 
     Node charges: one per call of the recursion and one more on entering
     the cover phase, plus whatever consistent charges.  BudgetError is
     raised when they exceed the budget."""
     gs: list[Elem] = []
     hs: list[Elem] = []
-
-    def partners(v: complex, entries: dict[Elem, complex]) -> list[Elem]:
-        return [x for _, x in sorted((abs(v - w), x) for x, w in entries.items()
-                                     if abs(v - w) <= tol)]
+    partners = _Partners(f1, f2, tol, budget.remaining)
 
     def rec() -> Optional[list[tuple[Elem, Elem]]]:
         budget.spend()
         i = len(gs)
         if i < len(sources):
             g, used = sources[i], set(hs)
-            pairs = [(g, h) for h in partners(f1.entries[g], f2.entries) if h not in used]
+            pairs = [(g, h) for h in partners(f1.entries[g], False) if h not in used]
         else:
             if i == len(sources) and targets is not None:
                 budget.spend()
@@ -327,7 +353,7 @@ def _search(
             if not missing:
                 return list(zip(gs, hs))
             h, used = min(missing), set(gs)
-            pairs = [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
+            pairs = [(g, h) for g in partners(f2.entries[h], True) if g not in used]
         for g, h in pairs:
             gs.append(g)
             hs.append(h)
@@ -513,8 +539,9 @@ def d_metric(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
     """Distance between functions on (possibly different) finite abelian
-    groups: dhat of their Fourier transforms."""
-    return dhat(dft(f1), dft(f2), weight_cap=weight_cap, node_budget=node_budget)
+    groups: dhat of their Fourier transforms, each function transformed
+    once."""
+    return dhat(*_spectra(f1, f2), weight_cap=weight_cap, node_budget=node_budget)
 
 
 def dprime(
@@ -523,9 +550,17 @@ def dprime(
     weight_cap: int = DEFAULT_WEIGHT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
-    """Tight-convergence metric: d plus the exact L2 norm gap."""
-    return dprime_from_spectra(dft(f1), dft(f2), f1.l2_norm(), f2.l2_norm(),
+    """Tight-convergence metric: d plus the exact L2 norm gap, the norms
+    read from the spectra (dft declares each as the function's l2_norm)."""
+    s1, s2 = _spectra(f1, f2)
+    return dprime_from_spectra(s1, s2, s1.declared_l2, s2.declared_l2,
                                weight_cap=weight_cap, node_budget=node_budget)
+
+
+def _spectra(f1: DenseFn, f2: DenseFn) -> tuple[SparseFn, SparseFn]:
+    """The transforms of f1 and f2, one dft when they are the same object."""
+    s1 = dft(f1)
+    return s1, s1 if f2 is f1 else dft(f2)
 
 
 def dprime_from_spectra(

@@ -30,6 +30,29 @@ def test_reduce_keeps_free_coordinates():
     assert G.reduce((-17, 9)) == (-17, 1)
 
 
+def _reduce_reference(G, coords):
+    """GroupSpec.reduce one coordinate at a time."""
+    return tuple(int(c) % m if m >= 1 else int(c) for c, m in zip(coords, G.moduli))
+
+
+@pytest.mark.parametrize("moduli", [[1], [5], [2, 6], [3, 4, 5], [0], [0, 5], [7, 0]])
+def test_reduce_matches_the_per_coordinate_rule(moduli):
+    # negative, NumPy-integer and huge coordinates, and a result of plain
+    # Python ints, whether or not every factor is finite
+    G = make_group(moduli)
+    pools = [[-7, 0, 13], [np.int64(-9), np.int32(11), np.uint8(200)],
+             [-(10**30) - 1, 2**70, -(2**63)]]
+    for pool in pools:
+        for start in range(len(pool)):
+            coords = [pool[(start + j) % len(pool)] for j in range(G.rank)]
+            got = G.reduce(coords)
+            assert got == _reduce_reference(G, coords)
+            assert all(type(c) is int for c in got)
+    for wrong in ([1] * (G.rank + 1), [1] * (G.rank - 1)):
+        with pytest.raises(ValidationError):
+            G.reduce(wrong)
+
+
 @given(small_moduli, st.data())
 def test_abelian_laws(moduli, data):
     G = make_group(moduli)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grouplim import DenseFn, SparseFn, constant_fn, make_group
 from grouplim import metric
 from grouplim.errors import BudgetError, PrecisionError, ValidationError
-from grouplim.intlattice import relations_match
+from grouplim.intlattice import relation_lattice_basis, relations_match
 from grouplim.metric import (
     DEFAULT_NODE_BUDGET,
     EXACT_TOL,
@@ -405,6 +405,27 @@ def test_dprime_adds_norm_gap():
     assert dp.hi == pytest.approx(d.hi + 0.5, abs=1e-12)
 
 
+def test_each_function_is_transformed_once(monkeypatch):
+    # d and d' transform one object once, and two objects once each even
+    # when their values are equal; the brackets are dhat's on separate
+    # transforms, d' shifted by the norm gap
+    G = make_group([6])
+    f = random_dense(G, seed=21)
+    twin = DenseFn(G, f.values.copy())
+    near = DenseFn(G, f.values + 0.02 * random_dense(G, seed=22).values)
+    calls = []
+    monkeypatch.setattr(metric, "dft", lambda h: calls.append(h) or dft(h))
+    for dist in (d_metric, dprime):
+        for g, transforms in ((f, 1), (twin, 2), (near, 2)):
+            calls.clear()
+            b = dist(f, g, node_budget=10**5)
+            assert len(calls) == transforms
+            expected = dhat(dft(f), dft(g), node_budget=10**5)
+            if dist is dprime:
+                expected = expected.shift(abs(f.l2_norm() - g.l2_norm()))
+            assert b == expected
+
+
 def test_dhat_triangle_inequality_on_random_triples():
     rng = np.random.default_rng(77)
     groups = [make_group([6]), make_group([8]), make_group([2, 4]), make_group([10])]
@@ -571,3 +592,119 @@ def test_bracket_computes_each_relation_verdict_once(monkeypatch, pair, node_bud
     assert len(set(extended)) == len(extended)
     assert runs[3][0] == runs[0][0] == bracket
     assert set(extended) <= set(runs[0][1]) and len(extended) < len(runs[0][1])
+
+
+def _relations_match_reference(elems1, g1, elems2, g2):
+    """relations_match built from GroupSpec.signed_combination: every basis
+    relation of one side, combined on the other, reduces to zero."""
+    return len(elems1) == len(elems2) and all(
+        gb.is_zero(gb.signed_combination(c, eb))
+        for ea, ga, eb, gb in ((elems1, g1, elems2, g2), (elems2, g2, elems1, g1))
+        for c in relation_lattice_basis(ea, ga))
+
+
+_MATCH_GROUPS = [[m] for m in range(1, 13)] + [[2, 6], [0, 5], [0, 0]]
+
+
+@st.composite
+def _element_tuples(draw):
+    """Two equally long tuples over the groups above, their coordinates
+    small or past int64 (finite ones left unreduced).  A third of them map
+    a tuple to itself or to its negative, so that its relations hold on
+    both sides; a third change one element of such a map."""
+    g1 = make_group(draw(st.sampled_from(_MATCH_GROUPS)))
+    coord = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+
+    def elems(G, k):
+        return [tuple(draw(coord) for _ in G.moduli) for _ in range(k)]
+
+    k = draw(st.integers(0, 4))
+    gs = elems(g1, k)
+    kind = draw(st.integers(0, 2))
+    if kind == 2:
+        g2 = make_group(draw(st.sampled_from(_MATCH_GROUPS)))
+        return g1, gs, g2, elems(g2, k)
+    sign = draw(st.sampled_from([1, -1]))
+    hs = [tuple(sign * x for x in g) for g in gs]
+    if kind == 1 and k:
+        hs[draw(st.integers(0, k - 1))] = elems(g1, 1)[0]
+    return g1, gs, g1, hs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_tuples())
+def test_relations_match_agrees_with_the_signed_combination_reference(case):
+    g1, gs, g2, hs = case
+    assert relations_match(gs, g1, hs, g2) == _relations_match_reference(gs, g1, hs, g2)
+
+
+@pytest.mark.parametrize("elems1, elems2", [([(1, 2)], [(1,)]), ([(1,)], [(1, 2)]),
+                                            ([(1,), (2,)], [(2,), ()])])
+def test_relations_match_refuses_wrong_length_elements(elems1, elems2):
+    z5 = make_group([5])
+    for check in (relations_match, _relations_match_reference):
+        with pytest.raises(ValidationError):
+            check(elems1, z5, elems2, z5)
+
+
+def _partner_spies(monkeypatch, limit=None):
+    """Spy on the partner sorting of each _search: returns the list of the
+    (value, entries) sorted, one list per search, and the list of the
+    searches' memos, kept to limit partners if limit is given."""
+    sorts, memos = [], []
+    search, sort, init = metric._search, metric._sorted_partners, metric._Partners.__init__
+
+    def spy_search(*a, **k):
+        sorts.append([])
+        return search(*a, **k)
+
+    def spy_sort(v, entries, tol):
+        sorts[-1].append((v, id(entries)))
+        return sort(v, entries, tol)
+
+    def spy_init(memo, f1, f2, tol, budget_limit):
+        bound = budget_limit if limit is None else limit
+        init(memo, f1, f2, tol, bound)
+        memos.append((memo, bound))
+
+    monkeypatch.setattr(metric, "_search", spy_search)
+    monkeypatch.setattr(metric, "_sorted_partners", spy_sort)
+    monkeypatch.setattr(metric._Partners, "__init__", spy_init)
+    return sorts, memos
+
+
+def test_partner_lists_keep_the_two_sides_apart():
+    # a value of f1 pairs with entries of f2, and the same value of f2 with
+    # entries of f1, whichever is asked first
+    f1 = SparseFn(make_group([5]), {(1,): 0.5, (2,): 0.3})
+    f2 = SparseFn(make_group([7]), {(3,): 0.5, (4,): 0.52})
+    for order in ((False, True), (True, False)):
+        partners = metric._Partners(f1, f2, 0.05, DEFAULT_NODE_BUDGET)
+        assert {cover: partners(0.5, cover) for cover in order} == {
+            False: [(3,), (4,)], True: [(1,)]}
+
+
+@pytest.mark.parametrize("pair, node_budget, revisits", [
+    (lambda: (random_sparse(make_group([8]), 0, 5), random_sparse(make_group([10]), 50, 5)),
+     10**5, True),
+    (lambda: _near_spectra([12], 5), 1000, False), (lambda: _near_spectra([9], 3), 30, False)])
+def test_partner_lists_are_sorted_once_per_search(pair, node_budget, revisits):
+    # each search sorts a value's partners at most once, and keeps at most
+    # node_budget partners; kept to 3 partners or to none, the memo sorts
+    # again (more often when the searches revisit values) but the bracket,
+    # starved or not, is the same
+    s1, s2 = pair()
+    runs = {}
+    for limit in (None, 3, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            sorts, memos = _partner_spies(mp, limit)
+            runs[limit] = dhat(s1, s2, node_budget=node_budget), sum(map(len, sorts))
+        for memo, bound in memos:
+            assert bound == (node_budget if limit is None else limit)
+            assert sum(len(p) for _, kept in memo.sides for p in kept.values()) <= bound
+        if limit is None:
+            assert all(len(set(s)) == len(s) for s in sorts)
+    assert runs[None][0] == runs[3][0] == runs[0][0]
+    assert runs[None][1] <= runs[3][1] <= runs[0][1]
+    assert (runs[None][1] < runs[0][1]) == revisits
+
