@@ -8,7 +8,6 @@ mod m_j whenever m_j >= 1), so equality and hashing are structural.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -38,7 +37,7 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.moduli)
 
-    @functools.cached_property
+    @property
     def is_finite(self) -> bool:
         return all(m >= 1 for m in self.moduli)
 
@@ -62,8 +61,6 @@ class GroupSpec:
             raise ValidationError(
                 f"coordinate length {len(coords)} != group rank {len(self.moduli)}"
             )
-        if self.is_finite:
-            return tuple(map(operator.mod, map(int, coords), self.moduli))
         return tuple(
             int(c) % m if m >= 1 else int(c) for c, m in zip(coords, self.moduli)
         )
@@ -82,13 +79,28 @@ class GroupSpec:
 
     def signed_combination(self, coeffs: Sequence[int], elems: Sequence[Elem]) -> Elem:
         """Sum of c_i * g_i, the abelian reduction of a signed word."""
-        rank = len(self.moduli)
-        if len(coeffs) != len(elems) or any(len(g) != rank for g in elems):
+        if len(coeffs) != len(elems):
             raise ValidationError(
-                f"need as many coeffs as elems, each element of length {rank}")
-        if len(elems) == 0:
-            return self.zero()
-        return self.reduce([sum(map(operator.mul, coeffs, col)) for col in zip(*elems)])
+                f"need as many coeffs as elems, got {len(coeffs)} and {len(elems)}")
+        return self.reduce(list(_column_sums(coeffs, self.columns(elems))))
+
+    def columns(self, elems: Sequence[Elem]) -> list[tuple[int, ...]]:
+        """The coordinates of elems, one tuple per factor; every element
+        must have the group's rank."""
+        rank = len(self.moduli)
+        if any(len(g) != rank for g in elems):
+            raise ValidationError(f"every element must have length {rank}")
+        return list(zip(*elems)) if elems else [()] * rank
+
+    def combination_is_zero(self, coeffs: Sequence[int], cols: Sequence[Sequence[int]]) -> bool:
+        """True iff sum_i c_i * g_i is zero, the g_i given by their columns
+        (see columns): each coordinate's sum is 0 mod its modulus, or
+        exactly 0 for a free factor.  Nothing is reduced."""
+        if cols and len(cols[0]) != len(coeffs):
+            raise ValidationError(f"need as many coeffs as elems, got {len(coeffs)} "
+                                  f"and {len(cols[0])}")
+        return not any(s % m if m else s
+                       for s, m in zip(_column_sums(coeffs, cols), self.moduli))
 
     def is_zero(self, g: Elem) -> bool:
         return all(a == 0 for a in g)
@@ -145,6 +157,11 @@ class GroupSpec:
     def __str__(self):
         parts = ["Z" if m == 0 else f"Z_{m}" for m in self.moduli]
         return " x ".join(parts)
+
+
+def _column_sums(coeffs: Sequence[int], cols: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The unreduced coordinates sum_i c_i * col_i of a combination."""
+    return (sum(map(operator.mul, coeffs, col)) for col in cols)
 
 
 def make_group(moduli: Sequence[int]) -> GroupSpec:

@@ -10,12 +10,10 @@ One echelon basis both counts and enumerates a solution group mod m.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
 from .groups import Elem, GroupSpec
 
 
@@ -106,22 +104,14 @@ def relations_match(
     i.e. the pairing g_i -> h_i extends to an isomorphism of the generated
     subgroups.
 
-    Each basis relation c of one side is checked on the other with one sum
-    sum_i c_i * h_i per coordinate, which must be 0 mod its modulus, or
-    exactly 0 for a free factor."""
+    Each basis relation of one side is checked on the other with
+    GroupSpec.combination_is_zero, one integer sum per coordinate."""
     if len(elems1) != len(elems2):
         return False
-    for elems, group in ((elems1, g1), (elems2, g2)):
-        if set(map(len, elems)) - {group.rank}:
-            raise ValidationError(f"every element must have length {group.rank}")
-    for ea, ga, eb, gb in ((elems1, g1, elems2, g2), (elems2, g2, elems1, g1)):
-        cols = list(zip(*eb))
-        for c in relation_lattice_basis(ea, ga):
-            for col, m in zip(cols, gb.moduli):
-                s = sum(map(operator.mul, c, col))
-                if s % m if m else s:
-                    return False
-    return True
+    cols1, cols2 = g1.columns(elems1), g2.columns(elems2)
+    return all(gb.combination_is_zero(c, cols)
+               for ea, ga, gb, cols in ((elems1, g1, g2, cols2), (elems2, g2, g1, cols1))
+               for c in relation_lattice_basis(ea, ga))
 
 
 def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:

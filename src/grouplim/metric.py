@@ -284,34 +284,6 @@ def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     return all(ball.push(g, h) for g, h in zip(gs, hs))
 
 
-def _sorted_partners(v: complex, entries: dict[Elem, complex], tol: float) -> list[Elem]:
-    """The elements of entries whose values lie within tol of v, in the
-    order (|v - w|, element)."""
-    near = ((abs(v - w), x) for x, w in entries.items())
-    return [x for _, x in sorted(c for c in near if c[0] <= tol)]
-
-
-class _Partners:
-    """The partner lists of one search, each value's sorted once: a value
-    of f1 (cover False) pairs with entries of f2, a value of f2 (cover
-    True) with entries of f1.  At most limit partners are kept in all; a
-    list that does not fit is sorted again each time it comes up."""
-
-    def __init__(self, f1: SparseFn, f2: SparseFn, tol: float, limit: int):
-        self.sides = ((f2.entries, {}), (f1.entries, {}))
-        self.tol, self.room = tol, limit
-
-    def __call__(self, v: complex, cover: bool) -> list[Elem]:
-        entries, memo = self.sides[cover]
-        found = memo.get(v)
-        if found is None:
-            found = _sorted_partners(v, entries, self.tol)
-            if len(found) <= self.room:
-                memo[v] = found
-                self.room -= len(found)
-        return found
-
-
 def _search(
     f1: SparseFn,
     f2: SparseFn,
@@ -329,23 +301,25 @@ def _search(
     the least target not yet in the image is covered from f1's entries,
     until none is left.  The partners of an element are the other
     function's entries within tol of its value, tried in the order
-    (|f1(g) - f2(h)|, element), and sorted once per search (_Partners).
-    Returns the pairs of the first complete map, or None when no map
-    exists.
+    (|f1(g) - f2(h)|, element).  Returns the pairs of the first complete
+    map, or None when no map exists.
 
     Node charges: one per call of the recursion and one more on entering
     the cover phase, plus whatever consistent charges.  BudgetError is
     raised when they exceed the budget."""
     gs: list[Elem] = []
     hs: list[Elem] = []
-    partners = _Partners(f1, f2, tol, budget.remaining)
+
+    def partners(v: complex, entries: dict[Elem, complex]) -> list[Elem]:
+        return [x for _, x in sorted((abs(v - w), x) for x, w in entries.items()
+                                     if abs(v - w) <= tol)]
 
     def rec() -> Optional[list[tuple[Elem, Elem]]]:
         budget.spend()
         i = len(gs)
         if i < len(sources):
             g, used = sources[i], set(hs)
-            pairs = [(g, h) for h in partners(f1.entries[g], False) if h not in used]
+            pairs = [(g, h) for h in partners(f1.entries[g], f2.entries) if h not in used]
         else:
             if i == len(sources) and targets is not None:
                 budget.spend()
@@ -353,7 +327,7 @@ def _search(
             if not missing:
                 return list(zip(gs, hs))
             h, used = min(missing), set(gs)
-            pairs = [(g, h) for g in partners(f2.entries[h], True) if g not in used]
+            pairs = [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
         for g, h in pairs:
             gs.append(g)
             hs.append(h)

