@@ -22,9 +22,8 @@ import numpy as np
 from .errors import ValidationError, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
-from .linconfig import (ConfigSystem, dual_constraint_solutions, dual_density_and_gradient,
-                        dual_gradient)
-from .spectral import fft_rows, spectrum_array
+from .linconfig import ConfigSystem, dual_constraint_solutions, dual_density_and_gradient
+from .spectral import fft_rows
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -94,11 +93,11 @@ def is_prime(n: int) -> bool:
 
 def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> np.ndarray:
     """Exact gradient of t(config, f) with respect to the value table of a
-    real-valued f."""
+    real-valued f: the optimizer's objective at the one row f."""
     if not f.is_real(1e-9):
         raise ValidationError("density gradient is defined for real-valued functions")
     sols = dual_constraint_solutions(config, f.group, budget=budget)
-    return dual_gradient(sols, spectrum_array(DenseFn(f.group, f.values.real)), f.group)
+    return _objective(f.values.real[None], sols, f.group)[1][0]
 
 
 def project_box_mean(v: np.ndarray, delta: float) -> np.ndarray:
@@ -376,6 +375,8 @@ def minimize_density(
     _check_inputs(p, seed, restarts, max_iter, unsafe_group or group is not None, [delta])
     if group is None:
         group = make_group([p])
+    elif group.order != p:
+        raise ValidationError(f"p={p} is not the order {group.order} of the given group")
     [(f, val, gnorm, trace)], stats = _minimize_grid(config, group, [delta], restarts, seed,
                                                      max_iter, grad_tol)
     return OptResult(
@@ -399,24 +400,15 @@ def rho_curve(
     unsafe_group: bool = False,
 ) -> list[dict]:
     """minimize_density across a delta grid, with the runs of every delta
-    strictly inside (0, 1) in lockstep; row i equals minimize_density at
-    deltas[i], and delta 0 and 1 give the constant functions.  Rows carry a
+    in lockstep; row i equals minimize_density at deltas[i].  Rows carry a
     monotone flag: the true curve is nondecreasing in delta, so a decrease
     marks a restart that missed the basin."""
     deltas = [float(d) for d in deltas]
     _check_inputs(p, seed, restarts, max_iter, unsafe_group, deltas)
     group = make_group([p])
-    interior = [d for d in deltas if 0.0 < d < 1.0]
-    results = iter(_minimize_grid(config, group, interior, restarts, seed, max_iter,
-                                  grad_tol)[0] if interior else [])
-    rows = []
-    for d in deltas:
-        if d in (0.0, 1.0):
-            f, val, gnorm = np.full(group.order, d), d, 0.0
-        else:
-            f, val, gnorm, _ = next(results)
-        rows.append({"delta": d, "value": val, "grad_norm": gnorm,
-                     "f_star": DenseFn(group, f)})
+    results, _ = _minimize_grid(config, group, deltas, restarts, seed, max_iter, grad_tol)
+    rows = [{"delta": d, "value": val, "grad_norm": gnorm, "f_star": DenseFn(group, f)}
+            for d, (f, val, gnorm, _) in zip(deltas, results)]
     best_so_far = -math.inf
     for row in rows:
         row["monotone_ok"] = row["value"] >= best_so_far - 1e-9

@@ -8,11 +8,12 @@ the forms.
 All Fourier-side work runs on one engine: the dual constraint lattice
 {r : Lambda^T r = 0}, enumerated once as an (S, k) array by
 dual_constraint_solutions.  The density is a gather and product over its
-rows (density_fourier) and the gradient in the values of a real function
-is one FFT of the leave-one-out products (dual_gradient); the optimizer in
-extremal gets both for a stack of functions from one gather
-(dual_density_and_gradient).  Direct summation (density_brute) is
-kept as the independent oracle, and Monte Carlo sampling as an estimate.
+rows (density_fourier).  For a stack of real functions one gather gives
+the densities and their gradients in the values, each gradient one FFT of
+the leave-one-out products (dual_density_and_gradient), which the
+optimizer in extremal and its density_gradient use.  Direct summation
+(density_brute) is kept as the independent oracle, and Monte Carlo
+sampling as an estimate.
 """
 
 from __future__ import annotations
@@ -295,15 +296,6 @@ def dual_density_and_gradient(
     G = np.bincount(flat, loo.real, R * N) + 1j * np.bincount(flat, loo.imag, R * N)
     grads = fft_rows(G.reshape(R, N), group).real / N
     return densities, grads
-
-
-def dual_gradient(sols: np.ndarray, spec: np.ndarray, group: GroupSpec) -> np.ndarray:
-    """Gradient of t(L, f) with respect to the value table of a real f,
-    from its spectrum and the dual solutions.  spec is one spectrum (N,) or
-    a stack (R, N); the result has the same shape."""
-    spec = np.asarray(spec)
-    _, grads = dual_density_and_gradient(sols, spec.reshape(-1, group.order), group)
-    return grads.reshape(spec.shape)
 
 
 @refuse_overflow("the density")

@@ -387,10 +387,14 @@ def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[Partial
     out).  Such a certificate collapses the bracket to [0, 0].  The value
     multisets agree, so a map of every stored entry of f1 into those of f2
     covers them all and needs no cover phase.  A relation among a prefix is
-    one of the whole map, so every prefix must match too."""
-    v1, v2 = (sorted((v.real, v.imag) for v in f.entries.values()) for f in (f1, f2))
-    if len(v1) != len(v2) or any(abs(a - c) > EXACT_TOL or abs(b - d) > EXACT_TOL
-                                 for (a, b), (c, d) in zip(v1, v2)):
+    one of the whole map, so every prefix must match too.  Such a map pairs
+    real parts, and imaginary parts, within EXACT_TOL, so both sorted lists
+    must agree (sorted (real, imag) pairs need not: conjugates whose real
+    parts differ by float noise sort in either order)."""
+    v1, v2 = f1.entries.values(), f2.entries.values()
+    if len(v1) != len(v2) or any(abs(a - b) > EXACT_TOL for part in ("real", "imag")
+                                 for a, b in zip(sorted(getattr(v, part) for v in v1),
+                                                 sorted(getattr(v, part) for v in v2))):
         return None
     try:
         pairs = _search(f1, f2, sorted(f1.entries), None, EXACT_TOL, _Budget(node_budget),
@@ -524,11 +528,9 @@ def dprime(
     weight_cap: int = DEFAULT_WEIGHT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
-    """Tight-convergence metric: d plus the exact L2 norm gap, the norms
-    read from the spectra (dft declares each as the function's l2_norm)."""
-    s1, s2 = _spectra(f1, f2)
-    return dprime_from_spectra(s1, s2, s1.declared_l2, s2.declared_l2,
-                               weight_cap=weight_cap, node_budget=node_budget)
+    """Tight-convergence metric: d plus the exact L2 norm gap."""
+    return dprime_from_spectra(*_spectra(f1, f2), weight_cap=weight_cap,
+                               node_budget=node_budget)
 
 
 def _spectra(f1: DenseFn, f2: DenseFn) -> tuple[SparseFn, SparseFn]:
@@ -540,12 +542,10 @@ def _spectra(f1: DenseFn, f2: DenseFn) -> tuple[SparseFn, SparseFn]:
 def dprime_from_spectra(
     s1: SparseFn,
     s2: SparseFn,
-    norm1: float,
-    norm2: float,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
-    """dprime of two functions given their spectra and L2 norms, for callers
-    that reuse one spectrum across many pairs."""
-    gap = abs(norm1 - norm2)
+    """dprime of two functions given their spectra, whose l2 norms are the
+    functions' (Parseval), for callers that reuse one spectrum per function."""
+    gap = abs(s1.l2_norm() - s2.l2_norm())
     return dhat(s1, s2, weight_cap=weight_cap, node_budget=node_budget).shift(gap)

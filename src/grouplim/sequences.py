@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .functions import DenseFn
-from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_brute
+from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_fourier
 from .metric import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WEIGHT_CAP,
@@ -43,18 +43,14 @@ def pairwise_table(
     check_search_limits(weight_cap, node_budget)
     n = len(fs)
     specs = [dft(f) for f in fs]
-    norms = [f.l2_norm() for f in fs]
-    budget = dict(weight_cap=weight_cap, node_budget=node_budget)
+    dist = dhat if metric == "d" else dprime_from_spectra
     table: list[list[Optional[DistBracket]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = DistBracket(0.0, 0.0, exact=True)
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                if metric == "d":
-                    b = dhat(specs[i], specs[j], **budget)
-                else:
-                    b = dprime_from_spectra(specs[i], specs[j], norms[i], norms[j], **budget)
+                b = dist(specs[i], specs[j], weight_cap=weight_cap, node_budget=node_budget)
             except BudgetError:
                 b = None
             table[i][j] = b
@@ -138,17 +134,6 @@ def histogram_distance(h1: Histogram, h2: Histogram) -> float:
     return float(np.sum(np.abs(h1.masses - h2.masses)))
 
 
-def norm_drift(fs: Sequence[DenseFn], tol: float = 1e-6) -> bool:
-    """True when the L2 norms of the tail keep moving: a d-convergent
-    sequence with drifting norms is not tightly convergent and its value
-    distributions need not settle."""
-    norms = [f.l2_norm() for f in fs]
-    if len(norms) < 2:
-        return False
-    tail = norms[len(norms) // 2 :]
-    return max(tail) - min(tail) > tol
-
-
 def continuity_probe(
     config: ConfigSystem,
     pairs: Sequence[tuple[DenseFn, DenseFn]],
@@ -164,7 +149,6 @@ def continuity_probe(
     rows = []
     for f1, f2 in pairs:
         bracket = d_metric(f1, f2, weight_cap=weight_cap, node_budget=node_budget)
-        t1 = density_brute(config, f1)
-        t2 = density_brute(config, f2)
-        rows.append((bracket.hi, abs(t1 - t2)))
+        dt = density_fourier(config, f1) - density_fourier(config, f2)
+        rows.append((bracket.hi, abs(dt)))
     return rows, cs1

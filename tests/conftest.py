@@ -16,7 +16,7 @@ from grouplim.extremal import (
     project_box_mean,
 )
 from grouplim.intlattice import integer_kernel, relations_match
-from grouplim.linconfig import dual_gradient
+from grouplim.linconfig import dual_density_and_gradient
 from grouplim.metric import (
     DEFAULT_WEIGHT_CAP,
     EXACT_TOL,
@@ -90,13 +90,13 @@ def exact_iso_oracle(
     e2 = sorted(f2.entries)
     if len(e1) != len(e2):
         return None
-    v1 = sorted((f1.entries[g].real, f1.entries[g].imag) for g in e1)
-    v2 = sorted((f2.entries[h].real, f2.entries[h].imag) for h in e2)
-    if any(
-        abs(a[0] - b[0]) > EXACT_TOL or abs(a[1] - b[1]) > EXACT_TOL
-        for a, b in zip(v1, v2)
-    ):
-        return None
+    # a value-preserving bijection pairs real parts, and imaginary parts,
+    # within EXACT_TOL, so their sorted lists must agree within it
+    for part in (np.real, np.imag):
+        v1 = sorted(float(part(f1.entries[g])) for g in e1)
+        v2 = sorted(float(part(f2.entries[h])) for h in e2)
+        if any(abs(a - b) > EXACT_TOL for a, b in zip(v1, v2)):
+            return None
     g1, g2 = f1.group, f2.group
     budget = _Budget(node_budget)
     ball = _Ball(g1, g2, DEFAULT_WEIGHT_CAP, budget, e1, e2)
@@ -242,7 +242,7 @@ def pgd_serial(
     f = project_box_mean(start, delta)
     val, spec = value(f)
     trace = [(0, val)]
-    grad = dual_gradient(sols, spec, group)
+    grad = dual_density_and_gradient(sols, spec[None], group)[1][0]
     # spectral (Barzilai-Borwein) initial step with a nonmonotone Armijo
     # safeguard; a fixed unit step crawls through the flat valleys of this
     # multilinear objective
@@ -264,7 +264,7 @@ def pgd_serial(
             step *= ARMIJO_SHRINK
         if not accepted:
             break
-        new_grad = dual_gradient(sols, cspec, group)
+        new_grad = dual_density_and_gradient(sols, cspec[None], group)[1][0]
         s = cand - f
         sy = float(np.dot(s, new_grad - grad))
         if sy > 0.0:

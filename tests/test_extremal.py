@@ -194,6 +194,12 @@ def test_minimize_on_product_group_matches_brute_oracle():
         assert density_brute(cfg, res.f_star).real == pytest.approx(res.value, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [4, 14, 16])
+def test_minimize_refuses_p_other_than_the_group_order(p):
+    with pytest.raises(ValidationError, match="order 15"):
+        minimize_density(builtin_config("ap3"), p, 0.4, group=make_group([3, 5]))
+
+
 def test_minimize_parallelogram_hits_quasirandom_minimum():
     res = minimize_density(builtin_config("parallelogram"), 17, 0.5,
                            restarts=4, seed=1)
@@ -293,6 +299,14 @@ def test_rho_curve_rows_equal_single_minimizations():
         assert row["delta"] == delta
         assert row["value"] == pytest.approx(res.value, abs=1e-12)
         assert np.allclose(row["f_star"].values, res.f_star.values, rtol=0, atol=1e-9)
+    # the endpoints run through the same pool as every other delta: the
+    # rows are minimize_density's bit for bit, its rounding noise included
+    cfg = builtin_config("parallelogram")
+    rows = rho_curve(cfg, 101, [0.0, 1.0], restarts=2, seed=4)
+    for row in rows:
+        res = minimize_density(cfg, 101, row["delta"], restarts=2, seed=4)
+        assert (row["value"], row["grad_norm"]) == (res.value, res.grad_norm)
+        assert row["f_star"].values.tobytes() == res.f_star.values.tobytes()
 
 
 def test_rho_curve_draws_each_restart_start_once(monkeypatch):

@@ -230,6 +230,57 @@ def test_exact_pass_finds_a_witness_exactly_when_the_oracle_does(case):
         assert relations_match(wit.domain(), s1.group, wit.image(), s2.group)
 
 
+def _compose(f, alpha):
+    """f o alpha, alpha an integer matrix acting on the coordinates of f's
+    group (each row's image reduced mod its modulus)."""
+    G = f.group
+    return DenseFn(G, f.values[G.flat_index(G.coord_array() @ np.array(alpha).T)])
+
+
+@st.composite
+def _automorphisms(draw):
+    """f and f o alpha, alpha an automorphism of Z_p (p <= 31 prime) or of
+    Z_m x Z_n: units on each factor, composed with the shears x += b y and
+    y += c x, each a homomorphism when b maps Z_n into Z_m and c Z_m into
+    Z_n, and with the swap when m = n; f real or complex."""
+    def units(m):
+        return [u for u in range(1, m) if math.gcd(u, m) == 1]
+
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+        G, alpha = make_group([p]), [[draw(st.sampled_from(units(p)))]]
+    else:
+        m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+        G, g = make_group([m, n]), math.gcd(m, n)
+        b = m // g * draw(st.integers(0, g - 1))
+        c = n // g * draw(st.integers(0, g - 1))
+        u, v = draw(st.sampled_from(units(m))), draw(st.sampled_from(units(n)))
+        alpha = np.array([[u, 0], [0, v]]) @ [[1, b], [0, 1]] @ [[1, 0], [c, 1]]
+        if m == n and draw(st.booleans()):
+            alpha = alpha[::-1]
+    f = random_dense(G, seed=draw(st.integers(0, 2**16)), real=draw(st.booleans()))
+    return f, _compose(f, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_automorphisms())
+def test_automorphic_functions_are_at_exact_distance_zero(pair):
+    f, g = pair
+    # alpha is a bijection: g's values are f's, permuted
+    assert np.array_equal(np.sort(f.values), np.sort(g.values))
+    b = d_metric(f, g)
+    assert (b.lo, b.hi, b.exact, b.weight_capped) == (0.0, 0.0, True, False)
+
+
+def test_dilated_function_on_z101_is_at_exact_distance_zero():
+    # a real f's spectrum pairs each value with its conjugate, and their
+    # real parts may differ by float noise; the exact pass still matches
+    f = random_dense(make_group([101]), seed=101, real=True)
+    for dist in (d_metric, dprime):
+        b = dist(f, _compose(f, [[2]]))
+        assert (b.lo, b.hi, b.exact, b.weight_capped) == (0.0, 0.0, True, False)
+
+
 @pytest.mark.parametrize("limits", [dict(weight_cap=0), dict(weight_cap=-3),
                                     dict(node_budget=0), dict(node_budget=-5)])
 def test_dhat_rejects_bad_search_limits_before_searching(monkeypatch, limits):

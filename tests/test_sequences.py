@@ -4,13 +4,12 @@ import pytest
 
 from grouplim import DenseFn, constant_fn, make_group, sequences
 from grouplim.errors import ValidationError
-from grouplim.linconfig import builtin_config
+from grouplim.linconfig import builtin_config, density_brute
 from grouplim.metric import d_metric, dprime
 from grouplim.sequences import (
     cauchy_detect,
     continuity_probe,
     histogram_distance,
-    norm_drift,
     pairwise_table,
     value_histogram,
 )
@@ -87,14 +86,6 @@ def test_divergent_sequence_is_not_cauchy():
     assert not ok
 
 
-def test_norm_drift_flags_changing_l2():
-    G = make_group([6])
-    steady = [constant_fn(G, 0.5) for _ in range(4)]
-    assert not norm_drift(steady)
-    drifting = [constant_fn(G, 0.3 + 0.1 * k) for k in range(4)]
-    assert norm_drift(drifting)
-
-
 def test_value_histogram_masses():
     G = make_group([16])
     f = random_dense(G, seed=6, box=True)
@@ -127,11 +118,14 @@ def test_continuity_probe_reports_complexity_flag():
     G = make_group([7])
     pairs = [(random_dense(G, seed=2 * k, box=True),
               random_dense(G, seed=2 * k + 1, box=True)) for k in range(3)]
-    rows, cs1 = continuity_probe(builtin_config("ap3"), pairs)
+    cfg = builtin_config("ap3")
+    rows, cs1 = continuity_probe(cfg, pairs)
     assert cs1
     assert len(rows) == 3
-    for d_hi, dt in rows:
+    for (d_hi, dt), (f1, f2) in zip(rows, pairs):
         assert d_hi >= 0 and dt >= 0
+        assert dt == pytest.approx(abs(density_brute(cfg, f1) - density_brute(cfg, f2)),
+                                   rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -1e-300])
