@@ -311,25 +311,29 @@ def _minimize_grid(
     grad_tol: float,
 ) -> tuple[list[tuple[np.ndarray, float, float, list[tuple[int, float]]]], dict]:
     """Best of restarts + 1 PGD runs for each delta: the constant start f =
-    delta, then restart r from an RNG stream keyed by (seed, r).  All runs
-    of all deltas share one _pgd pool, so that no call allocates more than
-    about CALL_BYTES; the best final value wins, ties broken by restart
-    index.  Runs go restart by restart, each over every delta, so restart
-    r's start is drawn once per call and only the last draw is kept.  Also
-    returns the stats of OptResult, with each per-run list in that order."""
+    delta, then restart r from an RNG stream keyed by (seed, r).  At delta
+    0 or 1 the feasible set is one point, so only the constant start runs.
+    All runs of all deltas share one _pgd pool, so that no call allocates
+    more than about CALL_BYTES; the best final value wins, ties broken by
+    restart index.  Runs go restart by restart, each over every delta, so
+    restart r's start is drawn once per call and only the last draw is
+    kept.  Also returns the stats of OptResult, with each per-run list in
+    that order."""
     sols = dual_constraint_solutions(config, group)
-    n, k = group.order, len(deltas)
+    n = group.order
+    runs = [(r, d) for r in range(max(restarts, 0) + 1) for d in range(len(deltas))
+            if r == 0 or 0.0 < deltas[d] < 1.0]
 
     @functools.lru_cache(maxsize=1)
     def draw(r):
         return np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
 
     def start(i):
-        r, d = divmod(i, k)
+        r, d = runs[i]
         return draw(r) if r else np.full(n, deltas[d])
 
-    run_deltas = np.tile(np.asarray(deltas, dtype=np.float64), max(restarts, 0) + 1)
-    best, stats = _pgd(sols, group, start, run_deltas, np.arange(len(run_deltas)) % k,
+    slots = np.array([d for _, d in runs], dtype=np.int64)
+    best, stats = _pgd(sols, group, start, np.asarray(deltas, dtype=np.float64)[slots], slots,
                        max_iter, grad_tol)
     return [b[1:] for b in best], stats
 
@@ -371,7 +375,9 @@ def minimize_density(
     group.  Deterministic given seed; restart r uses an RNG stream keyed by
     (seed, r), the constant function f = delta is always tried, and the
     best final value wins (ties broken by restart index).  All restarts run
-    in lockstep."""
+    in lockstep.  At delta 0 or 1 the constant start is the only feasible
+    point and the only run made, so restarts_used is 1 and stats hold that
+    one run."""
     _check_inputs(p, seed, restarts, max_iter, unsafe_group or group is not None, [delta])
     if group is None:
         group = make_group([p])
@@ -383,7 +389,7 @@ def minimize_density(
         f_star=DenseFn(group, f),
         value=val,
         grad_norm=gnorm,
-        restarts_used=max(restarts, 0) + 1,
+        restarts_used=len(stats["iterations"]),
         trace=trace,
         stats=stats,
     )

@@ -99,8 +99,11 @@ class GroupSpec:
         if cols and len(cols[0]) != len(coeffs):
             raise ValidationError(f"need as many coeffs as elems, got {len(coeffs)} "
                                   f"and {len(cols[0])}")
-        return not any(s % m if m else s
-                       for s, m in zip(_column_sums(coeffs, cols), self.moduli))
+        for col, m in zip(cols, self.moduli):
+            s = sum(map(operator.mul, coeffs, col))
+            if s % m if m else s:
+                return False
+        return True
 
     def is_zero(self, g: Elem) -> bool:
         return all(a == 0 for a in g)

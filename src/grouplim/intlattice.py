@@ -17,27 +17,29 @@ import numpy as np
 from .groups import Elem, GroupSpec
 
 
-def _column_reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, list]:
+def _column_reduce(rows: Sequence[Sequence[int]], ncols: int,
+                   keep: int | None = None) -> tuple[list, list, int]:
     """Column echelon form E = A U of the integer matrix A with the given
-    rows, and the unimodular U: every entry right of a row's pivot is zero
-    and pivots move right row by row, so a square A of full rank gives a
-    lower-triangular E."""
+    rows, the first keep rows (default all) of the unimodular U, and the
+    rank lead: every entry right of a row's pivot is zero and pivots move
+    right row by row, so E's zero columns are those from lead on, and a
+    square A of full rank gives a lower-triangular E."""
     a = [list(map(int, r)) for r in rows]
     nrows = len(a)
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    u = [[int(i == j) for j in range(ncols)] for i in range(ncols if keep is None else keep)]
 
     def addmul_col(j, k, q):
         # column j += q * column k, in both a and u
         for i in range(nrows):
             a[i][j] += q * a[i][k]
-        for i in range(ncols):
-            u[i][j] += q * u[i][k]
+        for row in u:
+            row[j] += q * row[k]
 
     def swap_col(j, k):
         for i in range(nrows):
             a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(ncols):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
+        for row in u:
+            row[j], row[k] = row[k], row[j]
 
     lead = 0
     for r in range(nrows):
@@ -62,16 +64,15 @@ def _column_reduce(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list, lis
                 break
         if a[r][lead] != 0:
             lead += 1
-    return a, u
+    return a, u, lead
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Basis of {x in Z^ncols : M x = 0} for the integer matrix with the
     given rows: the columns of the transform under the zeroed-out columns
     of the column echelon form span the kernel lattice exactly."""
-    a, u = _column_reduce(rows, ncols)
-    return [[u[i][j] for i in range(ncols)] for j in range(ncols)
-            if all(row[j] == 0 for row in a)]
+    _, u, lead = _column_reduce(rows, ncols)
+    return list(map(list, zip(*u)))[lead:]
 
 
 def _lattice_mod(rows: Sequence[Sequence[int]], k: int, moduli: Sequence[int]) -> list[list[int]]:
@@ -82,7 +83,8 @@ def _lattice_mod(rows: Sequence[Sequence[int]], k: int, moduli: Sequence[int]) -
     aux = [i for i, m in enumerate(moduli) if m]
     full_rows = [list(row) + [moduli[i] if i == j else 0 for j in aux]
                  for i, row in enumerate(rows)]
-    return [v[:k] for v in integer_kernel(full_rows, k + len(aux))]
+    _, u, lead = _column_reduce(full_rows, k + len(aux), keep=k)
+    return list(map(list, zip(*u)))[lead:]
 
 
 def relation_lattice_basis(elems: Sequence[Elem], group: GroupSpec) -> list[list[int]]:
@@ -119,7 +121,7 @@ def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int
     solution lattice L of (rows) r = 0 mod m.  L contains mZ^k, so each
     diagonal entry d_j divides m."""
     basis = _lattice_mod(rows, k, [m] * len(rows))
-    return _column_reduce([[v[i] for v in basis] for i in range(k)], k)[0]
+    return _column_reduce([[v[i] for v in basis] for i in range(k)], k, keep=0)[0]
 
 
 def kernel_mod_m_size(rows: Sequence[Sequence[int]], k: int, m: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, check_int, check_seed, refuse_overflow
 from .functions import DenseFn
 from .groups import GroupSpec
-from .intlattice import integer_kernel, kernel_mod_m, kernel_mod_m_size
+from .intlattice import _column_reduce, kernel_mod_m, kernel_mod_m_size
 from .spectral import fft_rows, spectrum_array
 
 DENSITY_BUDGET = 10**8
@@ -368,6 +368,6 @@ def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
 
 def _in_span(vec, vecs) -> bool:
     """vec is in the rational span of vecs iff appending it leaves the
-    matrix rank, i.e. the rank of the integer kernel lattice, unchanged."""
+    matrix rank, the number of pivots of the column echelon form, unchanged."""
     n = len(vec)
-    return len(integer_kernel(vecs, n)) == len(integer_kernel(vecs + [vec], n))
+    return _column_reduce(vecs, n, keep=0)[2] == _column_reduce(vecs + [vec], n, keep=0)[2]

@@ -546,6 +546,9 @@ def dprime_from_spectra(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DistBracket:
     """dprime of two functions given their spectra, whose l2 norms are the
-    functions' (Parseval), for callers that reuse one spectrum per function."""
-    gap = abs(s1.l2_norm() - s2.l2_norm())
-    return dhat(s1, s2, weight_cap=weight_cap, node_budget=node_budget).shift(gap)
+    functions' (Parseval), for callers that reuse one spectrum per function.
+    An exact [0, 0] from dhat maps one spectrum onto the other, so the two
+    carry the same l2 mass and the bracket stays [0, 0]: the float gap
+    between norms summed in different orders is left out."""
+    b = dhat(s1, s2, weight_cap=weight_cap, node_budget=node_budget)
+    return b if b.exact and b.hi == 0 else b.shift(abs(s1.l2_norm() - s2.l2_norm()))

@@ -43,8 +43,8 @@ def dft(f: DenseFn) -> SparseFn:
     the full l2 mass is preserved in declared_l2 for Parseval accounting."""
     spec = spectrum_array(f)
     dual = f.group.dual()
-    nz = np.nonzero(np.abs(spec) > TRUNCATION)[0]
-    entries = dict(zip(map(tuple, dual.coord_array()[nz].tolist()), spec[nz].tolist()))
+    entries = {r: v for r, v, kept in zip(dual.elements(), spec.tolist(),
+                                          (np.abs(spec) > TRUNCATION).tolist()) if kept}
     return SparseFn(dual, entries, declared_l2=f.l2_norm(), truncation=TRUNCATION)
 
 

@@ -236,6 +236,21 @@ def test_rho_curve_endpoints_and_monotone_flags():
     assert all(r["monotone_ok"] for r in rows)
 
 
+def test_endpoint_deltas_run_only_the_constant_start():
+    # at delta 0 or 1 the feasible set is one point; a random restart
+    # projected onto it lands there only up to rounding (at p = 401 its
+    # value fell below the exact 1 by 7e-16), so only the constant runs
+    cfg = builtin_config("ap3")
+    rows = rho_curve(cfg, 401, [0.0, 1.0], restarts=16, seed=0)
+    for row in rows:
+        assert (row["value"], row["grad_norm"]) == (row["delta"], 0.0)
+        assert np.array_equal(row["f_star"].values, np.full(401, row["delta"]))
+    for delta in (0.0, 1.0):
+        res = minimize_density(cfg, 31, delta, restarts=16)
+        assert res.restarts_used == 1 and len(res.stats["iterations"]) == 1
+    assert minimize_density(cfg, 31, 0.5, restarts=16).restarts_used == 17
+
+
 def _starts(n, deltas, restarts, seed):
     """The starts minimize_density runs for each delta, stacked."""
     rand = [np.random.Generator(np.random.Philox(key=(seed << 20) + r)).random(n)
@@ -300,7 +315,7 @@ def test_rho_curve_rows_equal_single_minimizations():
         assert row["value"] == pytest.approx(res.value, abs=1e-12)
         assert np.allclose(row["f_star"].values, res.f_star.values, rtol=0, atol=1e-9)
     # the endpoints run through the same pool as every other delta: the
-    # rows are minimize_density's bit for bit, its rounding noise included
+    # rows are minimize_density's bit for bit
     cfg = builtin_config("parallelogram")
     rows = rho_curve(cfg, 101, [0.0, 1.0], restarts=2, seed=4)
     for row in rows:

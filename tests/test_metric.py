@@ -281,6 +281,20 @@ def test_dilated_function_on_z101_is_at_exact_distance_zero():
         assert (b.lo, b.hi, b.exact, b.weight_capped) == (0.0, 0.0, True, False)
 
 
+@pytest.mark.parametrize("order, pullback, draws", [
+    (15, lambda f: _crt_pullback(f, 3, 5), 40), (101, lambda f: _compose(f, [[2]]), 15)],
+    ids=["crt_z15", "dilation_z101"])
+def test_dprime_of_isomorphic_functions_is_exact_zero(order, pullback, draws):
+    # isomorphic functions have the same l2 norm, though their norms are
+    # summed in different orders (13 of the 40 CRT draws and 3 of the 15
+    # dilations differ in the last bit): that float gap must not shift the
+    # exact bracket off 0
+    for seed in range(draws):
+        f = random_dense(make_group([order]), seed)
+        b = dprime(f, pullback(f), node_budget=10**5)
+        assert (b.lo, b.hi, b.exact) == (0.0, 0.0, True), (seed, b.lo, b.hi)
+
+
 @pytest.mark.parametrize("limits", [dict(weight_cap=0), dict(weight_cap=-3),
                                     dict(node_budget=0), dict(node_budget=-5)])
 def test_dhat_rejects_bad_search_limits_before_searching(monkeypatch, limits):

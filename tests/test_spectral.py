@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, constant_fn, indicator_fn, make_group
 from grouplim.errors import BudgetError, ValidationError
 from grouplim.spectral import (
+    TRUNCATION,
     dft,
     dft_naive,
     idft,
@@ -61,6 +63,26 @@ def test_dft_declares_full_l2_mass():
     f = random_dense(G, seed=7)
     fhat = dft(f)
     assert abs(fhat.l2_norm() - f.l2_norm()) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 2**16),
+       st.floats(0.0, 1.0))
+def test_dft_keeps_exactly_the_elements_above_truncation(moduli, seed, density):
+    # f = sum_r c_r chi_r with a random share of the c_r zero, so its
+    # spectrum is c: zeros (float noise under 1e-15 with |c_r| ~ 1/|G|)
+    # next to values far above the truncation
+    G = make_group(moduli)
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)) / G.order
+    coeffs[rng.random(G.order) >= density] = 0
+    x = G.coord_array()
+    phase = (x[:, None, :] * x[None, :, :] / np.array(moduli)).sum(axis=-1)
+    f = DenseFn(G, np.exp(2j * np.pi * phase) @ coeffs)
+    fhat, naive = dft(f), dict(zip(G.elements(), dft_naive(f).tolist()))
+    assert set(fhat.entries) == {r for r, v in naive.items() if abs(v) > TRUNCATION}
+    assert all(abs(v - naive[r]) <= 1e-12 for r, v in fhat.entries.items())
+    assert fhat.declared_l2 == f.l2_norm()
 
 
 def test_l2_norm_is_scaled_only_where_the_plain_formula_overflows():
