@@ -3,12 +3,16 @@ reproducibility metadata on every run.
 
 Exit codes: 0 success, 1 validation error (including usage), 2 budget
 exceeded, 3 internal error.
+
+A call imports only what its subcommand runs: each command imports its
+numerical modules in its own body, and options with a fixed range are
+checked by the library's validators while the arguments are parsed, so
+bad input is refused before any file or NumPy is loaded.
 """
 
 from __future__ import annotations
 
-import csv
-import glob as globmod
+import argparse
 import io
 import json
 import math
@@ -16,33 +20,22 @@ import os
 import sys
 import time
 
-import click
-import numpy as np
-
 from . import __version__
-from .errors import BudgetError, GrouplimError, ValidationError
-from .extremal import (
-    ARMIJO_C,
-    ARMIJO_SHRINK,
+from .errors import (
     DEFAULT_MAX_ITER,
+    DEFAULT_NODE_BUDGET,
     DEFAULT_RESTARTS,
-    minimize_density,
-    rho_curve,
+    DEFAULT_WEIGHT_CAP,
+    BudgetError,
+    GrouplimError,
+    ValidationError,
+    check_positive,
+    check_restarts,
+    check_samples,
+    check_seed,
+    check_tol,
+    check_tries,
 )
-from .functions import DenseFn, SparseFn
-from .graphon import Graph, cayley_kernel, hom_density, verify_bridge
-from .linconfig import (
-    ConfigSystem,
-    builtin_config,
-    cs_complexity_at_most_1,
-    density_brute,
-    density_fourier,
-    density_monte_carlo,
-)
-from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, d_metric, dhat, dprime
-from .rounding import adjust_density, round_best_of
-from .sequences import cauchy_detect, check_tol, pairwise_table
-from .spectral import dft, u2_direct, u2_fourier
 
 
 def _reject_constant(name: str):
@@ -65,17 +58,19 @@ def _write_out(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {e}")
 
 
-def _check_out(ctx, param, path):
-    """--out callback: refuse a path that cannot be written before any
-    work, without creating or truncating the file."""
-    folder = os.path.dirname(path or "") or "."
-    if path is not None and (os.path.isdir(path) or not os.path.isdir(folder)
-                             or not os.access(path if os.path.exists(path) else folder, os.W_OK)):
+def _out_path(path: str) -> str:
+    """--out type: refuse a path that cannot be written before any work,
+    without creating or truncating the file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK):
         raise ValidationError(f"cannot write {path}: not a writable file in an existing directory")
     return path
 
 
 def _csv_text(header: list, rows) -> str:
+    import csv
+
     rows = [header, *rows]
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
         raise ValidationError("the table holds a non-finite number; an input may be too large")
@@ -91,11 +86,15 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"invalid JSON in {path}: {e}")
 
 
-def _load_dense(path: str) -> DenseFn:
+def _load_dense(path: str):
+    from .functions import DenseFn
+
     return DenseFn.from_json(_load_json(path))
 
 
-def _load_config(spec: str) -> ConfigSystem:
+def _load_config(spec: str):
+    from .linconfig import ConfigSystem, builtin_config
+
     if spec in ("ap3", "parallelogram") or spec.startswith("graph:"):
         return builtin_config(spec)
     if os.path.exists(spec):
@@ -122,63 +121,162 @@ def _read_config_file(path: str) -> dict:
     return defaults
 
 
-@click.group(name="grouplim")
-@click.option("--config-file", type=click.Path(exists=True), default=None,
-              help="key=value file supplying option defaults for batch runs")
-@click.pass_context
-def cli(ctx, config_file):
-    """Limit-theory toolkit for functions on finite abelian groups."""
-    ctx.obj = time.monotonic()  # the start of every command's meta.timing_s
-    if config_file:
-        defaults = _read_config_file(config_file)
-        ctx.default_map = {cmd: defaults for cmd in cli.commands}
+# -- parsing -------------------------------------------------------------------
 
 
-@cli.result_callback()
-@click.pass_context
-def _emit(ctx, result, **_group_params):
-    """Print a command's (payload, meta) as one strict JSON line, meta
-    carrying the version and the time since the group callback; a command
-    that returns None has written its output itself."""
-    if result is None:
-        return
-    payload, meta = result
-    payload["meta"] = {"version": __version__, "timing_s": time.monotonic() - ctx.obj, **meta}
-    try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise ValidationError("the result holds a non-finite number; an input may be too large")
-    click.echo(text)
+class _Parser(argparse.ArgumentParser):
+    """Options are spelled out in full, and a usage error is bad input like
+    any other: it exits 1, since exit 2 means that a budget ran out."""
+
+    def __init__(self, **kw):
+        super().__init__(allow_abbrev=False, **kw)
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
-@cli.command("dft")
-@click.option("--fn", "fn_path", required=True, type=click.Path())
+def _checked(convert, check, *args):
+    """An argparse type: convert(text), then the library's own validator
+    check(value, *args), whose message becomes a usage error."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value, *args)
+        except ValidationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _check_cli_restarts(restarts: int) -> None:
+    """The library's restart cap, and no negative count, which the library
+    reads as none."""
+    if restarts < 0:
+        raise ValidationError(f"restarts must be a non-negative integer, got {restarts}")
+    check_restarts(restarts)
+
+
+_FLAG_VALUES = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+                **dict.fromkeys(("0", "false", "f", "no", "n", "off"), False)}
+
+
+def _set_default(action: argparse.Action, text: str) -> None:
+    """Make a --config-file value the default of an option, so that it can
+    fill a required one.  argparse converts a string default with the
+    option's type, range check included, when it is used; flag values and
+    choices are checked here."""
+    name = action.option_strings[0]
+    if action.nargs == 0:
+        if text.lower() not in _FLAG_VALUES:
+            raise ValidationError(f"argument {name}: {text!r} is not a boolean")
+        text = _FLAG_VALUES[text.lower()]
+    elif action.choices is not None and text not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValidationError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    action.default, action.required = text, False
+
+
+COMMANDS: dict = {}
+
+
+def _command(name: str, *options):
+    """Register a subcommand run(**options) -> (payload, meta) or None; its
+    options are (flags, add_argument keywords) pairs, its docstring is its
+    help."""
+
+    def register(run):
+        COMMANDS[name] = (run, options)
+        return run
+
+    return register
+
+
+def _opt(*flags, **kw):
+    return flags, kw
+
+
+def _seed(bits: int, **kw):
+    return _opt("--seed", type=_checked(int, check_seed, bits), **kw)
+
+
+_FN = _opt("--fn", dest="fn_path", required=True, metavar="PATH")
+_CONFIG = _opt("--config", dest="config_spec", required=True, metavar="SPEC",
+               help="ap3, parallelogram, graph:EDGES or a JSON file")
+_SEARCH_LIMITS = (
+    _opt("--weight-cap", type=_checked(int, check_positive, "weight_cap"),
+         default=DEFAULT_WEIGHT_CAP, help="relation weight cap (default: %(default)s)"),
+    _opt("--budget", type=_checked(int, check_positive, "node_budget"),
+         default=DEFAULT_NODE_BUDGET,
+         help="search nodes per feasibility probe, not per bracket (default: %(default)s)"),
+)
+_RESTARTS = _opt("--restarts", type=_checked(int, _check_cli_restarts), default=DEFAULT_RESTARTS,
+                 help="random restarts (default: %(default)s)")
+_OUT = _opt("--out", dest="out_path", type=_out_path, default=None, metavar="PATH",
+            help="write CSV here instead of stdout")
+
+
+def _parse(argv: list[str]):
+    """The command function and its keyword arguments.  --config-file
+    lines become defaults of the chosen subcommand's options."""
+    summaries = "".join(f"  {name:<10} {' '.join(run.__doc__.split())}\n"
+                        for name, (run, _) in COMMANDS.items())
+    top = _Parser(prog="grouplim", formatter_class=argparse.RawDescriptionHelpFormatter,
+                  description="Limit-theory toolkit for functions on finite abelian groups.",
+                  epilog=f"commands:\n{summaries}\n"
+                         "Run 'grouplim COMMAND --help' for the options of a command.")
+    top.add_argument("--config-file", metavar="PATH",
+                     help="key=value file supplying option defaults for batch runs")
+    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                     help="one of the commands below")
+    # the command's own arguments, parsed once its defaults are known
+    top.add_argument("args", nargs=argparse.REMAINDER, help=argparse.SUPPRESS).required = False
+    ns = top.parse_args(argv)
+    defaults = _read_config_file(ns.config_file) if ns.config_file else {}
+    run, options = COMMANDS[ns.command]
+    sub = _Parser(prog=f"grouplim {ns.command}", description=run.__doc__)
+    for flags, kw in options:
+        action = sub.add_argument(*flags, **kw)
+        if action.dest in defaults:
+            _set_default(action, defaults[action.dest])
+    return run, vars(sub.parse_args(ns.args))
+
+
+# -- commands ------------------------------------------------------------------
+
+
+@_command("dft", _FN)
 def cmd_dft(fn_path):
     """Fourier transform of a dense function, as sparse-spectrum JSON."""
+    from .spectral import dft
+
     return {"spectrum": dft(_load_dense(fn_path)).to_json()}, {}
 
 
-@cli.command("u2")
-@click.option("--fn", "fn_path", required=True, type=click.Path())
-@click.option("--method", type=click.Choice(["fourier", "direct"]), default="fourier")
+@_command("u2", _FN, _opt("--method", choices=("fourier", "direct"), default="fourier"))
 def cmd_u2(fn_path, method):
     """Gowers U2 norm."""
+    from .spectral import u2_direct, u2_fourier
+
     f = _load_dense(fn_path)
     value = u2_fourier(f) if method == "fourier" else u2_direct(f)
     return {"u2": value, "method": method}, {}
 
 
-@cli.command("dist")
-@click.option("--lhs", required=True, type=click.Path())
-@click.option("--rhs", required=True, type=click.Path())
-@click.option("--raw-spectra", is_flag=True,
-              help="inputs are sparse spectra; compare with dhat directly")
-@click.option("--tight", is_flag=True, help="use the tight metric (adds the L2 norm gap)")
-@click.option("--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True,
-              help="search nodes per feasibility probe (not per bracket)")
+@_command("dist",
+          _opt("--lhs", required=True, metavar="PATH"),
+          _opt("--rhs", required=True, metavar="PATH"),
+          _opt("--raw-spectra", action="store_true",
+               help="inputs are sparse spectra; compare with dhat directly"),
+          _opt("--tight", action="store_true", help="use the tight metric (adds the L2 norm gap)"),
+          *_SEARCH_LIMITS)
 def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
     """Distance bracket between two functions (or two raw spectra)."""
+    from .functions import DenseFn, SparseFn
+    from .metric import d_metric, dhat, dprime
+
     if raw_spectra:
         if tight:
             raise ValidationError("--tight applies to dense functions, not raw spectra")
@@ -190,14 +288,15 @@ def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
     return bracket.to_json(), {"weight_cap": weight_cap, "budget": budget}
 
 
-@cli.command("density")
-@click.option("--config", "config_spec", required=True)
-@click.option("--fn", "fn_path", required=True, type=click.Path())
-@click.option("--method", type=click.Choice(["brute", "fourier", "mc"]), default="brute")
-@click.option("--monte-carlo", "mc_samples", type=int, default=100000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_command("density", _CONFIG, _FN,
+          _opt("--method", choices=("brute", "fourier", "mc"), default="brute"),
+          _opt("--monte-carlo", dest="mc_samples", type=_checked(int, check_samples),
+               default=100000, help="samples of the mc method (default: %(default)s)"),
+          _seed(128, default=0, help="seed of the mc method (default: %(default)s)"))
 def cmd_density(config_spec, fn_path, method, mc_samples, seed):
     """Configuration density of a function."""
+    from .linconfig import density_brute, density_fourier, density_monte_carlo
+
     config = _load_config(config_spec)
     f = _load_dense(fn_path)
     payload = {"method": method}
@@ -210,23 +309,27 @@ def cmd_density(config_spec, fn_path, method, mc_samples, seed):
     return payload, {"seed": seed}
 
 
-@cli.command("cs1")
-@click.option("--config", "config_spec", required=True)
+@_command("cs1", _CONFIG)
 def cmd_cs1(config_spec):
     """Cauchy-Schwarz complexity-1 sufficient check (reported as cs1, it is
     not the true analytic complexity)."""
+    from .linconfig import cs_complexity_at_most_1
+
     overall, per_form = cs_complexity_at_most_1(_load_config(config_spec))
     return {"cs1": "yes" if overall else "no", "per_form": per_form}, {}
 
 
-@cli.command("round")
-@click.option("--fn", "fn_path", required=True, type=click.Path())
-@click.option("--seed", type=int, required=True)
-@click.option("--best-of", type=int, default=8, show_default=True)
-@click.option("--target-density", type=float, default=None)
+@_command("round", _FN, _seed(112, required=True),
+          _opt("--best-of", type=_checked(int, check_tries), default=8,
+               help="rounding attempts (default: %(default)s)"),
+          _opt("--target-density", type=float, default=None))
 def cmd_round(fn_path, seed, best_of, target_density):
     """Randomized rounding to a set indicator, reporting the achieved U2
     deviation."""
+    from .functions import DenseFn
+    from .rounding import adjust_density, round_best_of
+    from .spectral import u2_fourier
+
     f = _load_dense(fn_path)
     h, dev, win_seed = round_best_of(f, seed, tries=best_of)
     if target_density is not None:
@@ -237,19 +340,20 @@ def cmd_round(fn_path, seed, best_of, target_density):
     return payload, {"seed": seed, "best_of": best_of}
 
 
-@cli.command("minimize")
-@click.option("--config", "config_spec", required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--restarts", type=click.IntRange(min=0), default=DEFAULT_RESTARTS,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
-@click.option("--unsafe-group", is_flag=True,
-              help="allow composite group orders (outside the extremal family)")
+@_command("minimize", _CONFIG,
+          _opt("--p", type=int, required=True),
+          _opt("--delta", type=float, required=True),
+          _RESTARTS,
+          _seed(108, default=0, help="random seed (default: %(default)s)"),
+          _opt("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+               help="iterations per run (default: %(default)s)"),
+          _opt("--unsafe-group", action="store_true",
+               help="allow composite group orders (outside the extremal family)"))
 def cmd_minimize(config_spec, p, delta, restarts, seed, max_iter, unsafe_group):
     """Minimize the configuration density at fixed mean over Z_p (reported
     value is an upper bound for that p)."""
+    from .extremal import ARMIJO_C, ARMIJO_SHRINK, minimize_density
+
     res = minimize_density(
         _load_config(config_spec), p, delta, restarts=restarts, seed=seed,
         max_iter=max_iter, unsafe_group=unsafe_group,
@@ -266,6 +370,8 @@ MAX_GRID_STEPS = 10_000
 def _delta_grid(spec: str) -> list[float]:
     """The grid start:stop:step, inclusive: the points start + i*step
     below stop + step/2, with a last point past stop moved onto stop."""
+    import numpy as np
+
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
@@ -279,35 +385,36 @@ def _delta_grid(spec: str) -> list[float]:
     return np.minimum(start + step * steps, stop).tolist()
 
 
-@cli.command("rho-curve")
-@click.option("--config", "config_spec", required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--deltas", default="0.1:0.9:0.1", show_default=True,
-              help="grid as start:stop:step in [0, 1] (inclusive)")
-@click.option("--restarts", type=click.IntRange(min=0), default=DEFAULT_RESTARTS,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None, callback=_check_out,
-              help="write CSV here instead of stdout")
+@_command("rho-curve", _CONFIG,
+          _opt("--p", type=int, required=True),
+          _opt("--deltas", default="0.1:0.9:0.1",
+               help="grid as start:stop:step in [0, 1], inclusive (default: %(default)s)"),
+          _RESTARTS,
+          _seed(108, default=0, help="random seed (default: %(default)s)"),
+          _OUT)
 def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     """Minimal-density curve over a delta grid, as CSV."""
+    from .extremal import rho_curve
+
     config = _load_config(config_spec)
     rows = rho_curve(config, p, _delta_grid(deltas), restarts=restarts, seed=seed)
     header = ["delta", "value", "grad_norm", "monotone_ok"]
     text = _csv_text(header, ([row[key] for key in header] for row in rows))
     if not out_path:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return None
     _write_out(out_path, text)
     return {"rows": len(rows), "out": out_path}, {"seed": seed}
 
 
-@cli.command("hom")
-@click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--fn", "fn_path", required=True, type=click.Path())
-@click.option("--verify-bridge", "do_verify", is_flag=True)
+@_command("hom",
+          _opt("--graph", dest="graph_path", required=True, metavar="PATH"),
+          _FN,
+          _opt("--verify-bridge", dest="do_verify", action="store_true"))
 def cmd_hom(graph_path, fn_path, do_verify):
     """Homomorphism density of a graph in the Cayley kernel of a function."""
+    from .graphon import Graph, cayley_kernel, hom_density, verify_bridge
+
     H = Graph.from_json(_load_json(graph_path))
     f = _load_dense(fn_path)
     if not do_verify:
@@ -318,22 +425,25 @@ def cmd_hom(graph_path, fn_path, do_verify):
     return payload, {}
 
 
-@cli.command("converge")
-@click.option("--fns", "fn_glob", required=True,
-              help="glob (or comma list) of dense-function JSON files, in sequence order")
-@click.option("--metric", type=click.Choice(["d", "dprime"]), default="d", show_default=True)
-@click.option("--tol", type=float, default=0.1, show_default=True)
-@click.option("--weight-cap", type=int, default=DEFAULT_WEIGHT_CAP, show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_NODE_BUDGET, show_default=True,
-              help="search nodes per feasibility probe (not per bracket)")
-@click.option("--out", "out_path", type=click.Path(), default=None, callback=_check_out)
+@_command("converge",
+          _opt("--fns", dest="fn_glob", required=True, metavar="GLOB",
+               help="glob (or comma list) of dense-function JSON files, in sequence order"),
+          _opt("--metric", choices=("d", "dprime"), default="d",
+               help="d or its tight variant dprime (default: %(default)s)"),
+          _opt("--tol", type=_checked(float, check_tol), default=0.1,
+               help="Cauchy tolerance (default: %(default)s)"),
+          *_SEARCH_LIMITS,
+          _OUT)
 def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     """Pairwise distance table for a function sequence plus Cauchy check."""
-    check_tol(tol)
+    import glob
+
+    from .sequences import cauchy_detect, pairwise_table
+
     if "," in fn_glob:
         paths = [p for p in fn_glob.split(",") if p]
     else:
-        paths = sorted(globmod.glob(fn_glob))
+        paths = sorted(glob.glob(fn_glob))
     if not paths:
         raise ValidationError(f"no files match '{fn_glob}'")
     fs = [_load_dense(p) for p in paths]
@@ -351,26 +461,42 @@ def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     return payload, {"tol": tol, "weight_cap": weight_cap, "budget": budget}
 
 
-def main(argv=None) -> int:
+def _emit(result, start: float) -> None:
+    """Print a command's (payload, meta) as one strict JSON line, meta
+    carrying the version and the time since the call started."""
+    payload, meta = result
+    payload["meta"] = {"version": __version__, "timing_s": time.monotonic() - start, **meta}
     try:
-        cli.main(args=argv, standalone_mode=False)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValidationError("the result holds a non-finite number; an input may be too large")
+    print(text)
+
+
+def main(argv=None) -> int:
+    start = time.monotonic()
+    try:
+        run, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
+        result = run(**kwargs)
+        if result is not None:  # a command that returns None wrote its output itself
+            _emit(result, start)
         return 0
-    except click.exceptions.Abort:
-        return 1
-    except click.exceptions.ClickException as e:
-        e.show(file=sys.stderr)
+    except SystemExit:  # argparse exits only after printing --help
+        return 0
+    except KeyboardInterrupt:
+        print("aborted", file=sys.stderr)
         return 1
     except ValidationError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         return 1
     except BudgetError as e:
-        click.echo(f"budget exceeded: {e}", err=True)
+        print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
     except GrouplimError as e:
-        click.echo(f"internal error: {e}", err=True)
+        print(f"internal error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # anything unexpected is an internal error
-        click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
 

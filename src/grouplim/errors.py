@@ -1,9 +1,17 @@
-"""Exception hierarchy shared by all grouplim modules."""
+"""Exception hierarchy shared by all grouplim modules, with the input
+checks and default limits that the CLI applies while parsing its
+arguments.  Nothing here imports NumPy at module level, so a CLI call
+with bad input ends before NumPy is loaded."""
 
+import math
 import numbers
 from contextlib import contextmanager
 
-import numpy as np
+# defaults of the relation search (metric) and of the extremal optimizer
+DEFAULT_WEIGHT_CAP = 12
+DEFAULT_NODE_BUDGET = 10**7
+DEFAULT_RESTARTS = 16
+DEFAULT_MAX_ITER = 3000
 
 
 class GrouplimError(Exception):
@@ -46,10 +54,52 @@ def check_seed(seed: int, bits: int = 128) -> None:
         raise ValidationError(f"seed must be an integer in [0, 2**{bits}), got {seed}")
 
 
+def check_positive(value: int, what: str) -> None:
+    """Reject a count below 1."""
+    if value < 1:
+        raise ValidationError(f"{what} must be a positive integer")
+
+
+def check_search_limits(weight_cap: int, node_budget: int) -> None:
+    """Reject a relation weight cap or a node budget below 1."""
+    check_positive(weight_cap, "weight_cap")
+    check_positive(node_budget, "node_budget")
+
+
+def check_tol(tol: float) -> None:
+    """Reject a Cauchy tolerance that is negative or not finite."""
+    if not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+
+
+def check_samples(samples: int) -> None:
+    """Reject a Monte Carlo sample count below 1."""
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
+
+
+def check_tries(tries: int) -> None:
+    """Reject a rounding attempt count below 1, or past 2**16: attempt s
+    draws from the Philox key seed * 2**16 + s."""
+    if tries < 1:
+        raise ValidationError("need at least one rounding attempt")
+    if tries > 1 << 16:
+        raise ValidationError(f"tries must be at most 2**16, got {tries}")
+
+
+def check_restarts(restarts: int) -> None:
+    """Reject more than 2**20 restarts: restart r draws from the Philox key
+    seed * 2**20 + r - 1.  A negative count runs no restart."""
+    if restarts > 1 << 20:
+        raise ValidationError(f"restarts must be at most 2**20, got {restarts}")
+
+
 @contextmanager
 def refuse_overflow(what: str):
     """Refuse finite input whose NumPy arithmetic overflows (or turns
     invalid) with a ValidationError, in place of a warning and inf or nan."""
+    import numpy as np
+
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_seed
+from .errors import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, ValidationError, check_restarts, check_seed
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
 from .linconfig import ConfigSystem, dual_constraint_solutions, dual_density_and_gradient
@@ -31,8 +31,6 @@ ARMIJO_INIT_STEP = 1.0
 SPECTRAL_STEP_MIN = 1e-10
 SPECTRAL_STEP_MAX = 1e8
 NONMONOTONE_WINDOW = 10
-DEFAULT_RESTARTS = 16
-DEFAULT_MAX_ITER = 3000
 DEFAULT_GRAD_TOL = 1e-8
 # bound on the bytes (2 MiB) the rows of one _project_rows or _objective
 # call allocate: the pool of runs takes at most _call_rows rows per call
@@ -343,8 +341,7 @@ def _check_inputs(p: int, seed: int, restarts: int, max_iter: int, unsafe_group:
     # restart r draws from the Philox key seed * 2**20 + r - 1, so keys of
     # different seeds stay apart, and below 2**128, for r <= 2**20
     check_seed(seed, bits=108)
-    if restarts > 1 << 20:
-        raise ValidationError(f"restarts must be at most 2**20, got {restarts}")
+    check_restarts(restarts)
     if max_iter < 0:
         raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
     if not unsafe_group and not is_prime(p):

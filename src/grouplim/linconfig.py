@@ -24,7 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_int, check_seed, refuse_overflow
+from .errors import (
+    BudgetError,
+    ValidationError,
+    check_int,
+    check_samples,
+    check_seed,
+    refuse_overflow,
+)
 from .functions import DenseFn
 from .groups import GroupSpec
 from .intlattice import _column_reduce, kernel_mod_m, kernel_mod_m_size
@@ -329,8 +336,7 @@ def density_monte_carlo(
     complex values and complex product (3k + 2): at most 2n + 3k + 2
     entries whatever the group's rank, counted against DENSITY_BUDGET
     before drawing."""
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
+    check_samples(samples)
     check_seed(seed)
     Fs, group = _as_system(F, config.size, group)
     n, k = config.arity, config.size

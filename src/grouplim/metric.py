@@ -18,14 +18,19 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, PrecisionError, ValidationError
+from .errors import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_WEIGHT_CAP,
+    BudgetError,
+    PrecisionError,
+    ValidationError,
+    check_search_limits,
+)
 from .functions import DenseFn, SparseFn
 from .groups import Elem, GroupSpec
 from .intlattice import relations_match
 from .spectral import dft
 
-DEFAULT_WEIGHT_CAP = 12
-DEFAULT_NODE_BUDGET = 10**7
 EXACT_TOL = 1e-12
 
 
@@ -304,9 +309,9 @@ def _search(
     (|f1(g) - f2(h)|, element).  Returns the pairs of the first complete
     map, or None when no map exists.
 
-    Node charges: one per call of the recursion and one more on entering
-    the cover phase, plus whatever consistent charges.  BudgetError is
-    raised when they exceed the budget."""
+    Node charges: one per node of the search tree (a map reached) and one
+    more on entering the cover phase, plus whatever consistent charges.
+    BudgetError is raised when they exceed the budget."""
     gs: list[Elem] = []
     hs: list[Elem] = []
 
@@ -314,32 +319,45 @@ def _search(
         return [x for _, x in sorted((abs(v - w), x) for x, w in entries.items()
                                      if abs(v - w) <= tol)]
 
-    def rec() -> Optional[list[tuple[Elem, Elem]]]:
+    def extensions() -> Optional[list[tuple[Elem, Elem]]]:
+        """The pairs that may extend the map (gs, hs) by one, or None
+        when it is complete."""
         budget.spend()
         i = len(gs)
         if i < len(sources):
             g, used = sources[i], set(hs)
-            pairs = [(g, h) for h in partners(f1.entries[g], f2.entries) if h not in used]
-        else:
-            if i == len(sources) and targets is not None:
-                budget.spend()
-            missing = targets - set(hs) if targets else ()
-            if not missing:
-                return list(zip(gs, hs))
-            h, used = min(missing), set(gs)
-            pairs = [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
-        for g, h in pairs:
+            return [(g, h) for h in partners(f1.entries[g], f2.entries) if h not in used]
+        if i == len(sources) and targets is not None:
+            budget.spend()
+        missing = targets - set(hs) if targets else ()
+        if not missing:
+            return None
+        h, used = min(missing), set(gs)
+        return [(g, h) for g in partners(f2.entries[h], f1.entries) if g not in used]
+
+    # depth first, one iterator of untried pairs per level of the map
+    first = extensions()
+    if first is None:
+        return []
+    levels = [iter(first)]
+    while levels:
+        for g, h in levels[-1]:
             gs.append(g)
             hs.append(h)
             if consistent(gs, hs):
-                res = rec()
-                if res is not None:
-                    return res
+                pairs = extensions()
+                if pairs is None:
+                    return list(zip(gs, hs))
+                levels.append(iter(pairs))
+                break
             gs.pop()
             hs.pop()
-        return None
-
-    return rec()
+        else:
+            levels.pop()
+            if levels:  # drop the pair whose level ran out
+                gs.pop()
+                hs.pop()
+    return None
 
 
 def exists_eps_iso(
@@ -413,8 +431,10 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     v, diffs = np.concatenate([v1, v2]), (v1[:, None] - v2[None, :]).ravel()
     vals = np.hypot(v.real, v.imag)
     eps_max = float(vals.max(initial=0.0))
-    cands = np.unique(np.concatenate([1.0 / np.arange(1, weight_cap + 1), vals,
-                                      np.hypot(diffs.real, diffs.imag)]))
+    # sorted with repeats, which the merge below drops: np.unique would
+    # import numpy.ma, which costs a cold CLI call more than the repeats
+    cands = np.sort(np.concatenate([1.0 / np.arange(1, weight_cap + 1), vals,
+                                    np.hypot(diffs.real, diffs.imag)]))
     floor = max(f1.truncation, f2.truncation)
     merged: list[float] = []
     for c in cands[(cands > floor) & (cands <= eps_max + 1e-15)].tolist():
@@ -423,14 +443,6 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     if not merged or abs(merged[-1] - eps_max) > EXACT_TOL:
         merged = [c for c in merged if c < eps_max] + [eps_max]
     return merged
-
-
-def check_search_limits(weight_cap: int, node_budget: int) -> None:
-    """Reject a relation weight cap or a node budget below 1."""
-    if weight_cap < 1:
-        raise ValidationError("weight_cap must be a positive integer")
-    if node_budget < 1:
-        raise ValidationError("node_budget must be a positive integer")
 
 
 def dhat(

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_seed
+from .errors import ValidationError, check_seed, check_tries
 from .functions import DenseFn
 from .spectral import u2_fourier
 
@@ -39,12 +39,9 @@ def randomized_round(f: DenseFn, seed: int) -> DenseFn:
 def round_best_of(f: DenseFn, seed: int, tries: int = 8) -> tuple[DenseFn, float, int]:
     """Round with several derived seeds and keep the output whose U2
     deviation from f is smallest.  Returns (h, deviation, winning seed)."""
-    if tries < 1:
-        raise ValidationError("need at least one rounding attempt")
     # try s draws from the Philox key seed * 2**16 + s, so keys of different
     # seeds stay apart, and below 2**128, for s < 2**16
-    if tries > 1 << 16:
-        raise ValidationError(f"tries must be at most 2**16, got {tries}")
+    check_tries(tries)
     check_seed(seed, bits=112)
     best = None
     for s in range(tries):

@@ -7,20 +7,18 @@ tables one actually inspects."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_search_limits, check_tol
 from .functions import DenseFn
 from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_fourier
 from .metric import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WEIGHT_CAP,
     DistBracket,
-    check_search_limits,
     d_metric,
     dhat,
     dprime_from_spectra,
@@ -56,12 +54,6 @@ def pairwise_table(
             table[i][j] = b
             table[j][i] = b
     return table
-
-
-def check_tol(tol: float) -> None:
-    """Reject a Cauchy tolerance that is negative or not finite."""
-    if not math.isfinite(tol) or tol < 0:
-        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def cauchy_detect(table: Sequence[Sequence[Optional[DistBracket]]], tol: float) -> tuple[bool, Optional[int]]:

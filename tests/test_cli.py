@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grouplim
-from grouplim import DenseFn, cli as cli_module, make_group
+from grouplim import DenseFn, cli as cli_module, extremal, make_group, sequences, spectral
 from grouplim.cli import main
 from grouplim.errors import BudgetError
 from grouplim.graphon import Graph
@@ -160,8 +160,8 @@ OUT_COMMANDS = [
     ["rho-curve", "--config", "ap3", "--p", "5", "--deltas", "0.5:0.5:0.1", "--restarts", "1"],
     ["converge", "--fns", "FN"],
 ]
-# the function each --out command does its work in
-OUT_WORK = {"rho-curve": "rho_curve", "converge": "pairwise_table"}
+# the module and function each --out command does its work in
+OUT_WORK = {"rho-curve": (extremal, "rho_curve"), "converge": (sequences, "pairwise_table")}
 
 
 def _fail_if_called(*args, **kwargs):
@@ -174,7 +174,7 @@ def test_out_write_errors_exit_1(capsys, monkeypatch, tmp_path, dense_file, comm
                                  missing_dir):
     # a directory, or a file in a directory that does not exist, is refused
     # before the curve or the table is computed
-    monkeypatch.setattr(cli_module, OUT_WORK[command[0]], _fail_if_called)
+    monkeypatch.setattr(*OUT_WORK[command[0]], _fail_if_called)
     out = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
     argv = [dense_file if arg == "FN" else arg for arg in command] + ["--out", str(out)]
     code = main(argv)
@@ -187,7 +187,7 @@ def test_out_write_errors_exit_1(capsys, monkeypatch, tmp_path, dense_file, comm
 def test_out_in_a_read_only_directory_exits_1(capsys, monkeypatch, tmp_path):
     # the permission check is faked, since root may write anywhere
     monkeypatch.setattr(cli_module.os, "access", lambda path, mode: False)
-    monkeypatch.setattr(cli_module, "rho_curve", _fail_if_called)
+    monkeypatch.setattr(extremal, "rho_curve", _fail_if_called)
     assert main(OUT_COMMANDS[0] + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: cannot write")
 
@@ -198,7 +198,7 @@ def test_out_is_left_alone_when_the_work_fails(capsys, monkeypatch, tmp_path, de
     def over_budget(*args, **kwargs):
         raise BudgetError("over budget")
 
-    monkeypatch.setattr(cli_module, OUT_WORK[command[0]], over_budget)
+    monkeypatch.setattr(*OUT_WORK[command[0]], over_budget)
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
     old.write_text("kept\n")
     argv = [dense_file if arg == "FN" else arg for arg in command]
@@ -435,7 +435,7 @@ def test_converge_checks_tol_before_the_table(capsys, monkeypatch, dense_file):
     def fail(*args, **kwargs):
         raise AssertionError("table built before --tol was checked")
 
-    monkeypatch.setattr(cli_module, "pairwise_table", fail)
+    monkeypatch.setattr(sequences, "pairwise_table", fail)
     code, out = run(capsys, ["converge", "--fns", f"{dense_file},{dense_file}", "--tol", "-1"])
     assert (code, out) == (1, "")
 
@@ -513,8 +513,8 @@ def test_non_finite_json_is_rejected(capsys, tmp_path):
 def test_non_finite_results_exit_1(capsys, monkeypatch, dense_file):
     # a result that overflowed is refused where its JSON or CSV is written
     far = DistBracket(1e307, math.inf)
-    monkeypatch.setattr(cli_module, "u2_fourier", lambda f: math.inf)
-    monkeypatch.setattr(cli_module, "pairwise_table",
+    monkeypatch.setattr(spectral, "u2_fourier", lambda f: math.inf)
+    monkeypatch.setattr(sequences, "pairwise_table",
                         lambda fs, **kw: [[DistBracket(0.0, 0.0), far], [far, DistBracket(0.0, 0.0)]])
     for argv in (["u2", "--fn", dense_file], ["converge", "--fns", f"{dense_file},{dense_file}"]):
         code = main(argv)
@@ -705,7 +705,7 @@ def _command_argv(draw, files, command):
     return argv
 
 
-@pytest.mark.parametrize("command", sorted(cli_module.cli.commands))
+@pytest.mark.parametrize("command", sorted(cli_module.COMMANDS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_subcommand_fuzz_exits_0_1_or_2_with_strict_json(fuzz_inputs, command, data):

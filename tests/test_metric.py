@@ -1,4 +1,5 @@
 """Distance brackets, partial isomorphisms, and epsilon-supports."""
+import gc
 import math
 
 import numpy as np
@@ -711,3 +712,30 @@ def test_relations_match_refuses_wrong_length_elements(elems1, elems2):
         with pytest.raises(ValidationError):
             check(elems1, z5, elems2, z5)
 
+
+
+def test_brackets_leave_no_garbage_cycles():
+    # the search state is freed by reference counting when a bracket
+    # returns, not left for the cycle collector
+    G = make_group([8])
+    rng = np.random.default_rng(1)
+    f = DenseFn(G, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    g = DenseFn(G, f.values + 0.02 * (rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+    gc.collect()
+    gc.disable()
+    try:
+        brackets = [d_metric(f, f), dprime(f, g)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert brackets[0].exact and brackets[0].hi == 0.0
+    assert not brackets[1].budget_exceeded and 0.0 < brackets[1].lo <= brackets[1].hi
+
+
+def test_search_maps_more_entries_than_the_recursion_limit():
+    # one level per mapped entry, past Python's default limit of 1000 frames
+    G = make_group([1200])
+    f = SparseFn(G, {(i,): complex(i + 1) for i in range(1200)})
+    pairs = metric._search(f, f, sorted(f.entries), None, EXACT_TOL,
+                           metric._Budget(10**4), lambda gs, hs: True)
+    assert pairs == [(g, g) for g in sorted(f.entries)]
