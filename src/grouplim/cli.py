@@ -26,15 +26,17 @@ from .errors import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_RESTARTS,
     DEFAULT_WEIGHT_CAP,
+    MAX_RESTARTS,
+    MAX_TRIES,
+    RESTART_BITS,
+    TRY_BITS,
     BudgetError,
     GrouplimError,
     ValidationError,
-    check_positive,
-    check_restarts,
-    check_samples,
+    check_count,
+    check_delta,
     check_seed,
     check_tol,
-    check_tries,
 )
 
 
@@ -151,14 +153,6 @@ def _checked(convert, check, *args):
     return parse
 
 
-def _check_cli_restarts(restarts: int) -> None:
-    """The library's restart cap, and no negative count, which the library
-    reads as none."""
-    if restarts < 0:
-        raise ValidationError(f"restarts must be a non-negative integer, got {restarts}")
-    check_restarts(restarts)
-
-
 _FLAG_VALUES = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
                 **dict.fromkeys(("0", "false", "f", "no", "n", "off"), False)}
 
@@ -198,22 +192,22 @@ def _opt(*flags, **kw):
     return flags, kw
 
 
-def _seed(bits: int, **kw):
-    return _opt("--seed", type=_checked(int, check_seed, bits), **kw)
+def _seed(stream_bits: int = 0, **kw):
+    return _opt("--seed", type=_checked(int, check_seed, stream_bits), **kw)
 
 
 _FN = _opt("--fn", dest="fn_path", required=True, metavar="PATH")
 _CONFIG = _opt("--config", dest="config_spec", required=True, metavar="SPEC",
                help="ap3, parallelogram, graph:EDGES or a JSON file")
 _SEARCH_LIMITS = (
-    _opt("--weight-cap", type=_checked(int, check_positive, "weight_cap"),
+    _opt("--weight-cap", type=_checked(int, check_count, "weight_cap"),
          default=DEFAULT_WEIGHT_CAP, help="relation weight cap (default: %(default)s)"),
-    _opt("--budget", type=_checked(int, check_positive, "node_budget"),
+    _opt("--budget", type=_checked(int, check_count, "node_budget"),
          default=DEFAULT_NODE_BUDGET,
          help="search nodes per feasibility probe, not per bracket (default: %(default)s)"),
 )
-_RESTARTS = _opt("--restarts", type=_checked(int, _check_cli_restarts), default=DEFAULT_RESTARTS,
-                 help="random restarts (default: %(default)s)")
+_RESTARTS = _opt("--restarts", type=_checked(int, check_count, "restarts", 0, MAX_RESTARTS),
+                 default=DEFAULT_RESTARTS, help="random restarts (default: %(default)s)")
 _OUT = _opt("--out", dest="out_path", type=_out_path, default=None, metavar="PATH",
             help="write CSV here instead of stdout")
 
@@ -290,9 +284,9 @@ def cmd_dist(lhs, rhs, raw_spectra, tight, weight_cap, budget):
 
 @_command("density", _CONFIG, _FN,
           _opt("--method", choices=("brute", "fourier", "mc"), default="brute"),
-          _opt("--monte-carlo", dest="mc_samples", type=_checked(int, check_samples),
+          _opt("--monte-carlo", dest="mc_samples", type=_checked(int, check_count, "samples"),
                default=100000, help="samples of the mc method (default: %(default)s)"),
-          _seed(128, default=0, help="seed of the mc method (default: %(default)s)"))
+          _seed(default=0, help="seed of the mc method (default: %(default)s)"))
 def cmd_density(config_spec, fn_path, method, mc_samples, seed):
     """Configuration density of a function."""
     from .linconfig import density_brute, density_fourier, density_monte_carlo
@@ -319,10 +313,10 @@ def cmd_cs1(config_spec):
     return {"cs1": "yes" if overall else "no", "per_form": per_form}, {}
 
 
-@_command("round", _FN, _seed(112, required=True),
-          _opt("--best-of", type=_checked(int, check_tries), default=8,
+@_command("round", _FN, _seed(TRY_BITS, required=True),
+          _opt("--best-of", type=_checked(int, check_count, "tries", 1, MAX_TRIES), default=8,
                help="rounding attempts (default: %(default)s)"),
-          _opt("--target-density", type=float, default=None))
+          _opt("--target-density", type=_checked(float, check_delta), default=None))
 def cmd_round(fn_path, seed, best_of, target_density):
     """Randomized rounding to a set indicator, reporting the achieved U2
     deviation."""
@@ -342,11 +336,11 @@ def cmd_round(fn_path, seed, best_of, target_density):
 
 @_command("minimize", _CONFIG,
           _opt("--p", type=int, required=True),
-          _opt("--delta", type=float, required=True),
+          _opt("--delta", type=_checked(float, check_delta), required=True),
           _RESTARTS,
-          _seed(108, default=0, help="random seed (default: %(default)s)"),
-          _opt("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-               help="iterations per run (default: %(default)s)"),
+          _seed(RESTART_BITS, default=0, help="random seed (default: %(default)s)"),
+          _opt("--max-iter", type=_checked(int, check_count, "max_iter", 0),
+               default=DEFAULT_MAX_ITER, help="iterations per run (default: %(default)s)"),
           _opt("--unsafe-group", action="store_true",
                help="allow composite group orders (outside the extremal family)"))
 def cmd_minimize(config_spec, p, delta, restarts, seed, max_iter, unsafe_group):
@@ -390,7 +384,7 @@ def _delta_grid(spec: str) -> list[float]:
           _opt("--deltas", default="0.1:0.9:0.1",
                help="grid as start:stop:step in [0, 1], inclusive (default: %(default)s)"),
           _RESTARTS,
-          _seed(108, default=0, help="random seed (default: %(default)s)"),
+          _seed(RESTART_BITS, default=0, help="random seed (default: %(default)s)"),
           _OUT)
 def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     """Minimal-density curve over a delta grid, as CSV."""

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all grouplim modules, with the input
-checks and default limits that the CLI applies while parsing its
-arguments.  Nothing here imports NumPy at module level, so a CLI call
-with bad input ends before NumPy is loaded."""
+"""Exception hierarchy shared by all grouplim modules, with the one
+definition of each input rule (counts, means, seeds and the layout of the
+random streams) and the default limits, which the library and the CLI's
+argument parser both apply.  Nothing here imports NumPy at module level,
+so a CLI call with bad input ends before NumPy is loaded."""
 
 import math
 import numbers
@@ -12,6 +13,16 @@ DEFAULT_WEIGHT_CAP = 12
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
+
+# Random streams: a Philox key is below 2**KEY_BITS.  Restart r = 1 ..
+# MAX_RESTARTS of seed s draws from the key s * 2**RESTART_BITS + r - 1,
+# and rounding try t < MAX_TRIES from s * 2**TRY_BITS + t, so the keys of
+# different seeds stay apart.
+KEY_BITS = 128
+RESTART_BITS = 20
+TRY_BITS = 16
+MAX_RESTARTS = 1 << RESTART_BITS
+MAX_TRIES = 1 << TRY_BITS
 
 
 class GrouplimError(Exception):
@@ -46,52 +57,38 @@ def check_int(value, what: str) -> int:
     return int(value)
 
 
-def check_seed(seed: int, bits: int = 128) -> None:
+def check_seed(seed: int, stream_bits: int = 0) -> None:
     """Reject a user seed that cannot key a Philox stream: keys are
-    unsigned and below 2**128, and a caller that derives several keys from
-    one seed passes the bits left for the seed."""
+    unsigned and below 2**KEY_BITS, and a caller that derives several keys
+    from one seed keeps the low stream_bits of each key for its index."""
+    bits = KEY_BITS - stream_bits
     if not 0 <= seed < 1 << bits:
         raise ValidationError(f"seed must be an integer in [0, 2**{bits}), got {seed}")
 
 
-def check_positive(value: int, what: str) -> None:
-    """Reject a count below 1."""
-    if value < 1:
-        raise ValidationError(f"{what} must be a positive integer")
+def check_count(value: int, what: str, lo: int = 1, cap: int | None = None) -> None:
+    """Reject a count below lo, or above cap where one is given."""
+    if value < lo or cap is not None and value > cap:
+        bounds = f">= {lo}" if cap is None else f"in [{lo}, {cap}]"
+        raise ValidationError(f"{what} must be an integer {bounds}, got {value}")
+
+
+def check_delta(delta: float) -> None:
+    """Reject a mean outside [0, 1], nan included."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValidationError(f"delta must lie in [0, 1], got {delta}")
 
 
 def check_search_limits(weight_cap: int, node_budget: int) -> None:
     """Reject a relation weight cap or a node budget below 1."""
-    check_positive(weight_cap, "weight_cap")
-    check_positive(node_budget, "node_budget")
+    check_count(weight_cap, "weight_cap")
+    check_count(node_budget, "node_budget")
 
 
 def check_tol(tol: float) -> None:
     """Reject a Cauchy tolerance that is negative or not finite."""
     if not math.isfinite(tol) or tol < 0:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
-
-
-def check_samples(samples: int) -> None:
-    """Reject a Monte Carlo sample count below 1."""
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-
-
-def check_tries(tries: int) -> None:
-    """Reject a rounding attempt count below 1, or past 2**16: attempt s
-    draws from the Philox key seed * 2**16 + s."""
-    if tries < 1:
-        raise ValidationError("need at least one rounding attempt")
-    if tries > 1 << 16:
-        raise ValidationError(f"tries must be at most 2**16, got {tries}")
-
-
-def check_restarts(restarts: int) -> None:
-    """Reject more than 2**20 restarts: restart r draws from the Philox key
-    seed * 2**20 + r - 1.  A negative count runs no restart."""
-    if restarts > 1 << 20:
-        raise ValidationError(f"restarts must be at most 2**20, got {restarts}")
 
 
 @contextmanager

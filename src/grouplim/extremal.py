@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, ValidationError, check_restarts, check_seed
+from .errors import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, MAX_RESTARTS, RESTART_BITS,
+                     ValidationError, check_count, check_delta, check_seed)
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
-from .linconfig import ConfigSystem, dual_constraint_solutions, dual_density_and_gradient
+from .linconfig import (DENSITY_BUDGET, ConfigSystem, dual_constraint_solutions,
+                        dual_density_and_gradient)
 from .spectral import fft_rows
 
 ARMIJO_C = 1e-4
@@ -89,7 +91,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> np.ndarray:
+def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = DENSITY_BUDGET) -> np.ndarray:
     """Exact gradient of t(config, f) with respect to the value table of a
     real-valued f: the optimizer's objective at the one row f."""
     if not f.is_real(1e-9):
@@ -101,8 +103,7 @@ def density_gradient(config: ConfigSystem, f: DenseFn, budget: int = 10**8) -> n
 def project_box_mean(v: np.ndarray, delta: float) -> np.ndarray:
     """Euclidean projection onto {u in [0,1]^N : mean(u) = delta}; see
     _project_rows, which this runs on the one row v."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError("delta must lie in [0, 1]")
+    check_delta(delta)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValidationError("can only project a non-empty one-dimensional vector")
@@ -319,12 +320,12 @@ def _minimize_grid(
     that order."""
     sols = dual_constraint_solutions(config, group)
     n = group.order
-    runs = [(r, d) for r in range(max(restarts, 0) + 1) for d in range(len(deltas))
+    runs = [(r, d) for r in range(restarts + 1) for d in range(len(deltas))
             if r == 0 or 0.0 < deltas[d] < 1.0]
 
     @functools.lru_cache(maxsize=1)
     def draw(r):
-        return np.random.Generator(np.random.Philox(key=(seed << 20) + r - 1)).random(n)
+        return np.random.Generator(np.random.Philox(key=(seed << RESTART_BITS) + r - 1)).random(n)
 
     def start(i):
         r, d = runs[i]
@@ -338,20 +339,16 @@ def _minimize_grid(
 
 def _check_inputs(p: int, seed: int, restarts: int, max_iter: int, unsafe_group: bool,
                   deltas) -> None:
-    # restart r draws from the Philox key seed * 2**20 + r - 1, so keys of
-    # different seeds stay apart, and below 2**128, for r <= 2**20
-    check_seed(seed, bits=108)
-    check_restarts(restarts)
-    if max_iter < 0:
-        raise ValidationError(f"max_iter must be a non-negative integer, got {max_iter}")
+    check_seed(seed, RESTART_BITS)
+    check_count(restarts, "restarts", 0, MAX_RESTARTS)
+    check_count(max_iter, "max_iter", 0)
     if not unsafe_group and not is_prime(p):
         raise ValidationError(
             f"p={p} is not prime; the extremal family uses prime-order groups "
             "(pass unsafe_group to override)"
         )
     for d in deltas:
-        if not 0.0 <= d <= 1.0:
-            raise ValidationError(f"delta must lie in [0, 1], got {d}")
+        check_delta(d)
 
 
 def minimize_density(

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (
     BudgetError,
     ValidationError,
+    check_count,
     check_int,
-    check_samples,
     check_seed,
     refuse_overflow,
 )
@@ -142,11 +142,15 @@ def builtin_config(name: str) -> ConfigSystem:
 
 
 def _as_system(F, k: int, group: Optional[GroupSpec]) -> tuple[list[DenseFn], GroupSpec]:
-    """The k functions of a system (one function stands for all k) and the
-    group they share."""
-    Fs = [F] * k if isinstance(F, DenseFn) else list(F)
-    if len(Fs) != k:
-        raise ValidationError(f"function system has {len(Fs)} entries, need {k}")
+    """The k functions of a system, or one function that stands for all k
+    as the single row that form_products broadcasts, and the group they
+    share."""
+    if isinstance(F, DenseFn):
+        Fs = [F]
+    else:
+        Fs = list(F)
+        if len(Fs) != k:
+            raise ValidationError(f"function system has {len(Fs)} entries, need {k}")
     if group is None:
         group = Fs[0].group
     if any(f.group != group for f in Fs):
@@ -336,7 +340,7 @@ def density_monte_carlo(
     complex values and complex product (3k + 2): at most 2n + 3k + 2
     entries whatever the group's rank, counted against DENSITY_BUDGET
     before drawing."""
-    check_samples(samples)
+    check_count(samples, "samples")
     check_seed(seed)
     Fs, group = _as_system(F, config.size, group)
     n, k = config.arity, config.size

@@ -24,6 +24,7 @@ from .errors import (
     BudgetError,
     PrecisionError,
     ValidationError,
+    check_count,
     check_search_limits,
 )
 from .functions import DenseFn, SparseFn
@@ -50,8 +51,7 @@ class PartialIso:
     weight: int
 
     def __init__(self, pairs: Sequence[tuple[Elem, Elem]], weight: int):
-        if weight < 1:
-            raise ValidationError("weight must be a positive integer")
+        check_count(weight, "weight")
         lhs, rhs = [tuple(g) for g, _ in pairs], [tuple(h) for _, h in pairs]
         if len(set(lhs)) != len(lhs) or len(set(rhs)) != len(rhs):
             raise ValidationError("partial isomorphism must be a bijection")
@@ -391,8 +391,8 @@ def _eps_iso(
     sources, targets = sorted(supp_eps(f1, eps)), supp_eps(f2, eps)
     if weight is None:
         weight = max(1, math.ceil(1.0 / eps - 1e-12))
-    elif weight < 1:
-        raise ValidationError("weight must be a positive integer")
+    else:
+        check_count(weight, "weight")
     budget = _Budget(node_budget)
     ball = _Ball(f1.group, f2.group, weight, budget, f1.entries, f2.entries)
     pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, verdicts.checker(ball))

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_seed, check_tries
+from .errors import MAX_TRIES, TRY_BITS, ValidationError, check_count, check_delta, check_seed
 from .functions import DenseFn
 from .spectral import u2_fourier
 
@@ -39,13 +39,11 @@ def randomized_round(f: DenseFn, seed: int) -> DenseFn:
 def round_best_of(f: DenseFn, seed: int, tries: int = 8) -> tuple[DenseFn, float, int]:
     """Round with several derived seeds and keep the output whose U2
     deviation from f is smallest.  Returns (h, deviation, winning seed)."""
-    # try s draws from the Philox key seed * 2**16 + s, so keys of different
-    # seeds stay apart, and below 2**128, for s < 2**16
-    check_tries(tries)
-    check_seed(seed, bits=112)
+    check_count(tries, "tries", 1, MAX_TRIES)
+    check_seed(seed, TRY_BITS)
     best = None
     for s in range(tries):
-        sub_seed = (seed << 16) + s
+        sub_seed = (seed << TRY_BITS) + s
         h = randomized_round(f, sub_seed)
         dev = u2_fourier(DenseFn(f.group, h.values - f.values))
         if best is None or dev < best[1]:
@@ -58,8 +56,7 @@ def adjust_density(h: DenseFn, delta: float, seed: int) -> DenseFn:
     until the count of ones is ceil(delta * |A|); otherwise return h
     unchanged.  Values are never lowered."""
     check_seed(seed)
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError("delta must lie in [0, 1]")
+    check_delta(delta)
     vals = h.values.real
     if not np.all((np.abs(vals) < 1e-12) | (np.abs(vals - 1) < 1e-12)):
         raise ValidationError("adjust_density expects a {0,1}-valued function")

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_search_limits, check_tol
+from .errors import BudgetError, ValidationError, check_count, check_search_limits, check_tol
 from .functions import DenseFn
 from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_fourier
 from .metric import (
@@ -101,8 +101,7 @@ def value_histogram(
     range_im: Optional[tuple[float, float]] = None,
 ) -> Histogram:
     """Distribution of the value table under the uniform measure."""
-    if bins < 1:
-        raise ValidationError("need at least one bin")
+    check_count(bins, "bins")
 
     def span(x, given):
         lo, hi = given if given else (float(x.min()), float(x.max()))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grouplim
-from grouplim import DenseFn, cli as cli_module, extremal, make_group, sequences, spectral
+from grouplim import (DenseFn, adjust_density, builtin_config, cli as cli_module, constant_fn,
+                      d_metric, density_monte_carlo, extremal, make_group, minimize_density,
+                      rho_curve, round_best_of, rounding, sequences, spectral)
 from grouplim.cli import main
-from grouplim.errors import BudgetError
+from grouplim.errors import BudgetError, ValidationError
 from grouplim.graphon import Graph
 from grouplim.metric import DistBracket
 
@@ -154,6 +157,50 @@ def test_round_rejects_a_seed_or_tries_past_the_key_space(capsys, dense_file, ar
     assert (code, captured.out) == (1, "")
     # the message names the value passed, not a derived key
     assert argv[-1] in captured.err and "internal error" not in captured.err
+
+
+MINIMIZE = ["minimize", "--config", "ap3", "--p", "7"]
+ROUND = ["round", "--fn", "FN", "--seed", "0"]
+# each option with a range: its command line, an out-of-range value, and
+# the library call that takes that value from it
+BOUNDED = [
+    ("--weight-cap", ["dist", "--lhs", "FN", "--rhs", "FN"], "-7",
+     lambda f, v: d_metric(f, f, weight_cap=v)),
+    ("--budget", ["dist", "--lhs", "FN", "--rhs", "FN"], "0",
+     lambda f, v: d_metric(f, f, node_budget=v)),
+    ("--monte-carlo", ["density", "--config", "ap3", "--fn", "FN", "--method", "mc"], "-3",
+     lambda f, v: density_monte_carlo(builtin_config("ap3"), f, v)),
+    ("--best-of", ROUND, str(2**16 + 1), lambda f, v: round_best_of(f, 0, tries=v)),
+    ("--restarts", MINIMIZE + ["--delta", "0.5"], "-1",
+     lambda f, v: minimize_density(builtin_config("ap3"), 7, 0.5, restarts=v)),
+    ("--restarts", ["rho-curve", "--config", "ap3", "--p", "7"], str(2**20 + 1),
+     lambda f, v: rho_curve(builtin_config("ap3"), 7, [0.5], restarts=v)),
+    ("--max-iter", MINIMIZE + ["--delta", "0.5"], "-4",
+     lambda f, v: minimize_density(builtin_config("ap3"), 7, 0.5, max_iter=v)),
+    ("--delta", MINIMIZE, "1.5", lambda f, v: minimize_density(builtin_config("ap3"), 7, v)),
+    ("--target-density", ROUND, "2.5",
+     lambda f, v: adjust_density(constant_fn(f.group, 1.0), v, 0)),
+]
+
+
+@pytest.mark.parametrize("option, argv, value, call", BOUNDED,
+                         ids=[f"{row[0]}={row[2]}" for row in BOUNDED])
+def test_an_out_of_range_option_is_refused_by_the_flag_and_the_library(
+        capsys, dense_file, option, argv, value, call):
+    code = main([dense_file if arg == "FN" else arg for arg in argv] + [option, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: argument {option}: ") and f"got {value}" in captured.err
+    with pytest.raises(ValidationError, match=f"got {re.escape(value)}"):
+        call(constant_fn(make_group([8]), 0.5), json.loads(value))
+
+
+def test_an_out_of_range_target_density_is_refused_before_rounding(capsys, dense_file,
+                                                                   monkeypatch):
+    calls = []
+    monkeypatch.setattr(rounding, "round_best_of", lambda *args, **kw: calls.append(args))
+    code = main(["round", "--fn", dense_file, "--seed", "0", "--target-density", "2"])
+    assert (code, capsys.readouterr().out, calls) == (1, "", [])
 
 
 OUT_COMMANDS = [

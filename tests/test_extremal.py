@@ -215,9 +215,8 @@ def test_minimize_is_deterministic_given_seed():
 
 
 def test_minimize_without_restarts_runs_the_constant_start():
-    for restarts in (0, -2):
-        res = minimize_density(builtin_config("ap3"), 13, 0.25, restarts=restarts)
-        assert res.restarts_used == 1
+    res = minimize_density(builtin_config("ap3"), 13, 0.25, restarts=0)
+    assert res.restarts_used == 1
 
 
 def test_minimize_result_is_feasible_and_consistent():
@@ -322,6 +321,24 @@ def test_rho_curve_rows_equal_single_minimizations():
         res = minimize_density(cfg, 101, row["delta"], restarts=2, seed=4)
         assert (row["value"], row["grad_norm"]) == (res.value, res.grad_norm)
         assert row["f_star"].values.tobytes() == res.f_star.values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**108 - 1])
+def test_restart_r_of_seed_s_starts_from_the_philox_key_s_2_20_plus_r_minus_1(monkeypatch,
+                                                                              seed):
+    starts = []
+
+    def pgd(sols, group, start, deltas, *args):
+        starts.extend(start(i) for i in range(len(deltas)))
+        return _pgd(sols, group, start, deltas, *args)
+
+    monkeypatch.setattr(extremal, "_pgd", pgd)
+    minimize_density(builtin_config("ap3"), 13, 0.25, restarts=3, seed=seed, max_iter=2)
+    assert np.array_equal(starts[0], np.full(13, 0.25))
+    for r in (1, 2, 3):
+        key = seed * 2**20 + r - 1
+        assert np.array_equal(starts[r],
+                              np.random.Generator(np.random.Philox(key=key)).random(13))
 
 
 def test_rho_curve_draws_each_restart_start_once(monkeypatch):
@@ -606,7 +623,8 @@ def test_negative_max_iter_or_huge_seed_is_rejected_before_any_work(monkeypatch)
 
     monkeypatch.setattr(extremal, "dual_constraint_solutions", fail)
     cfg = builtin_config("ap3")
-    for kwargs in ({"max_iter": -1}, {"seed": 2**108}, {"restarts": 2**20 + 1}):
+    for kwargs in ({"max_iter": -1}, {"seed": 2**108}, {"restarts": 2**20 + 1},
+                   {"restarts": -1}):
         with pytest.raises(ValidationError):
             minimize_density(cfg, 7, 0.5, **kwargs)
         with pytest.raises(ValidationError):

@@ -94,6 +94,22 @@ def test_fourier_route_mixed_system():
     assert abs(density_brute(cfg, fs) - density_fourier(cfg, fs)) <= 1e-10
 
 
+@pytest.mark.parametrize("moduli, name", [([31], "ap3"), ([2, 6], "parallelogram"),
+                                          ([7], "graph:0-1,1-2,2-3,3-0")])
+def test_a_single_function_is_one_row_of_the_system(monkeypatch, moduli, name):
+    cfg = builtin_config(name)
+    f = random_dense(make_group(moduli), seed=4)
+    copies = [f] * cfg.size
+    assert density_brute(cfg, f) == density_brute(cfg, copies)
+    assert density_monte_carlo(cfg, f, 500, seed=3) == density_monte_carlo(cfg, copies, 500,
+                                                                            seed=3)
+    expected = density_fourier(cfg, copies)
+    calls = []
+    monkeypatch.setattr(linconfig, "spectrum_array", lambda g: calls.append(g) or spectrum_array(g))
+    assert density_fourier(cfg, f) == expected
+    assert calls == [f]
+
+
 def test_dual_constraint_count_for_ap3():
     # the 2x3 coefficient matrix of ap3 has full row rank mod 7, so the
     # dual solution set is a line: exactly N assignments

@@ -55,6 +55,8 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 @pytest.mark.parametrize("argv", [
     ["round", "--fn", "FN", "--seed", "-1"],
     ["density", "--config", "ap3", "--fn", "FN", "--method", "mc", "--monte-carlo", "0"],
+    ["round", "--fn", "FN", "--seed", "0", "--target-density", "2"],
+    ["minimize", "--config", "ap3", "--p", "7", "--delta", "1.5"],
 ])
 def test_an_out_of_range_option_exits_1_before_numpy_loads(tmp_path, argv):
     fn = tmp_path / "f.json"

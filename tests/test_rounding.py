@@ -89,6 +89,20 @@ def test_rounding_rejects_negative_seeds():
         adjust_density(constant_fn(G, 0.0), 0.5, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**112 - 1])
+def test_try_t_of_seed_s_rounds_with_the_philox_key_s_2_16_plus_t(seed):
+    G = make_group([64])
+    f = DenseFn(G, np.random.default_rng(2).random(64).astype(np.complex128))
+    rounded = {}
+    for t in range(5):
+        key = seed * 2**16 + t
+        u = np.random.Generator(np.random.Philox(key=key)).random(64)
+        rounded[key] = (u < f.values.real).astype(np.complex128)
+    h, dev, win = round_best_of(f, seed, tries=5)
+    assert np.array_equal(h.values, rounded[win])
+    assert win == min(rounded, key=lambda k: u2_fourier(DenseFn(G, rounded[k] - f.values)))
+
+
 def test_round_best_of_checks_seed_and_tries_before_any_work(monkeypatch):
     def fail(*args, **kw):
         raise AssertionError("work started on invalid input")
