@@ -13,6 +13,8 @@ DEFAULT_WEIGHT_CAP = 12
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_RESTARTS = 16
 DEFAULT_MAX_ITER = 3000
+# int64-sized entries a density, a minimization or a distance may hold at its peak
+DENSITY_BUDGET = 10**8
 
 # Random streams: a Philox key is below 2**KEY_BITS.  Restart r = 1 ..
 # MAX_RESTARTS of seed s draws from the key s * 2**RESTART_BITS + r - 1,

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, MAX_RESTARTS, RESTART_BITS,
-                     ValidationError, check_count, check_delta, check_seed)
+from .errors import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DENSITY_BUDGET, MAX_RESTARTS,
+                     RESTART_BITS, BudgetError, ValidationError, check_count, check_delta,
+                     check_seed)
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
-from .linconfig import (DENSITY_BUDGET, ConfigSystem, dual_constraint_solutions,
-                        dual_density_and_gradient)
+from .linconfig import ConfigSystem, dual_constraint_solutions, dual_density_and_gradient
 from .spectral import fft_rows
 
 ARMIJO_C = 1e-4
@@ -234,6 +234,14 @@ def _pgd(
     trace kept after a run stops, and the stats of OptResult."""
     runs, n = len(deltas), group.order
     width = _call_rows(sols, n)
+    # counted before the first start is drawn: per pool row, a call's share
+    # and under 8n for its point, gradient, projected pair and trial
+    # gradient; per run its five counters; per slot its best point
+    entries = (width * (_row_bytes(sols, n) // 8 + 8 * n + NONMONOTONE_WINDOW) + 5 * runs
+               + (int(slots.max(initial=-1)) + 1) * n)
+    if entries > DENSITY_BUDGET:
+        raise BudgetError(f"the optimizer's pool holds {entries} int64-sized entries at its "
+                          f"peak, over budget {DENSITY_BUDGET}")
     # per run: accepted steps (-1 before its start is evaluated), rejected
     # trial steps, value, step, and projected-gradient norm (nan until known)
     iters, backtracks = np.full(runs, -1), np.zeros(runs, dtype=np.int64)

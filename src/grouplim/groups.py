@@ -122,13 +122,11 @@ class GroupSpec:
         return int(self.flat_index(self.reduce(g)))
 
     def elem_at(self, idx: int) -> Elem:
-        if not self.is_finite:
-            raise UnsupportedError("cannot index elements of an infinite group")
-        coords = []
-        for m in reversed(self.moduli):
-            idx, c = divmod(idx, m)
-            coords.append(c)
-        return tuple(reversed(coords))
+        """Inverse of index_of, decoded as coord_array does; an index
+        outside [0, order) is refused, not wrapped."""
+        if not 0 <= idx < self.order:
+            raise ValidationError(f"element index must lie in [0, {self.order}), got {idx}")
+        return tuple(map(int, np.unravel_index(idx, self.moduli)))
 
     def coord_array(self) -> np.ndarray:
         """Coordinates of every element, shape (order, rank), row i being

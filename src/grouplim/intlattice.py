@@ -1,15 +1,12 @@
-"""Exact integer linear algebra helpers: kernel lattices of integer
-matrices and relation lattices of element tuples in f.g. abelian groups.
-
-The reductions run on plain Python ints (no overflow) and on the tiny
-dimensions that show up in partial-isomorphism checks and dual constraint
-solving, so a straightforward column-reduction is all that is needed.
-One echelon basis both counts and enumerates a solution group mod m.
+"""Exact integer linear algebra.  One routine, relation_lattice_basis,
+answers every lattice question of the package: the relations among spectrum
+supports (the metric) and among a configuration's forms in (Z_m)^n (its
+dual lattice mod m) or in Z^n (over Z).  The column reductions run on plain
+Python ints (no overflow) and on tiny dimensions.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -67,33 +64,24 @@ def _column_reduce(rows: Sequence[Sequence[int]], ncols: int,
     return a, u, lead
 
 
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x in Z^ncols : M x = 0} for the integer matrix with the
-    given rows: the columns of the transform under the zeroed-out columns
-    of the column echelon form span the kernel lattice exactly."""
-    _, u, lead = _column_reduce(rows, ncols)
-    return list(map(list, zip(*u)))[lead:]
-
-
-def _lattice_mod(rows: Sequence[Sequence[int]], k: int, moduli: Sequence[int]) -> list[list[int]]:
-    """Generators of {r in Z^k : row_i . r = 0 mod moduli[i] for every i},
-    where modulus 0 means equality in Z: the projections onto the first k
-    coordinates of the integer kernel of [rows | diag(moduli)], the zero
-    columns of modulus 0 left out."""
-    aux = [i for i, m in enumerate(moduli) if m]
-    full_rows = [list(row) + [moduli[i] if i == j else 0 for j in aux]
-                 for i, row in enumerate(rows)]
-    _, u, lead = _column_reduce(full_rows, k + len(aux), keep=k)
-    return list(map(list, zip(*u)))[lead:]
-
-
 def relation_lattice_basis(elems: Sequence[Elem], group: GroupSpec) -> list[list[int]]:
-    """Generators of {c in Z^k : sum_i c_i * g_i = 0 in the group}.
+    """Generators of {c in Z^k : sum_i c_i * g_i = 0 in the group}: the
+    projections onto the first k coordinates of the integer kernel of
+    [rows | diag(moduli)], one row per coordinate and no column for a free
+    factor, zero projections left out.  The transform's columns under the
+    echelon form's zero columns span that kernel exactly."""
+    k, moduli = len(elems), group.moduli
+    aux = [i for i, m in enumerate(moduli) if m]
+    rows = [[g[i] for g in elems] + [m if i == j else 0 for j in aux]
+            for i, m in enumerate(moduli)]
+    _, u, lead = _column_reduce(rows, k + len(aux), keep=k)
+    return [list(v) for v in list(zip(*u))[lead:] if any(v)]
 
-    Built as the lattice of the congruence system with one row per
-    coordinate of the group."""
-    rows = [[g[j] for g in elems] for j in range(group.rank)]
-    return [v for v in _lattice_mod(rows, len(elems), group.moduli) if any(v)]
+
+def rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of the integer matrix with the given rows: the number of pivots
+    of its column echelon form."""
+    return _column_reduce(rows, ncols, keep=0)[2]
 
 
 def relations_match(
@@ -116,39 +104,31 @@ def relations_match(
                for c in relation_lattice_basis(ea, ga))
 
 
-def _echelon_mod(rows: Sequence[Sequence[int]], k: int, m: int) -> list[list[int]]:
-    """Lower-triangular basis, as the columns of a k x k matrix, of the
-    solution lattice L of (rows) r = 0 mod m.  L contains mZ^k, so each
-    diagonal entry d_j divides m."""
-    basis = _lattice_mod(rows, k, [m] * len(rows))
-    return _column_reduce([[v[i] for v in basis] for i in range(k)], k, keep=0)[0]
+def triangular_basis(basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Column echelon form of the basis vectors as columns, a basis of the
+    same lattice.  A lattice of relations mod m holds mZ^k, so this is
+    lower-triangular k x k with diagonal entries d_j dividing m."""
+    return _column_reduce(list(zip(*basis)), len(basis), keep=0)[0]
 
 
-def kernel_mod_m_size(rows: Sequence[Sequence[int]], k: int, m: int) -> int:
-    """len(kernel_mod_m(rows, k, m)) without the enumeration: the solutions
-    are L / mZ^k, which has prod_j m / |d_j| elements."""
-    ech = _echelon_mod(rows, k, m)
-    return math.prod(m // abs(ech[j][j]) for j in range(k))
+def lattice_points_mod(tri: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """The points of L / mZ^k, L the lattice with the triangular basis tri,
+    in lexicographic order as a (prod_j m / |d_j|, k) int64 array.
 
-
-def kernel_mod_m(rows: Sequence[Sequence[int]], k: int, m: int) -> np.ndarray:
-    """All solutions r in (Z_m)^k of (rows) r = 0 mod m, in lexicographic
-    order, as a (count, k) int64 array.
-
-    The solutions are the sums sum_j c_j col_j mod m over the columns of the
-    lower-triangular basis, scaled to d_j > 0, each c_j running over any m / d_j
-    consecutive integers: one broadcast per column.  Column j leaves the
-    coordinates before j alone, and each row's run starts where its
-    coordinate j lies in [0, d_j), so the rows come out sorted.  Products
-    stay below m^2: int64 for m < 2^31, Python ints above."""
-    ech = _echelon_mod(rows, k, m)
+    The points are the sums sum_j c_j col_j mod m over the columns of tri,
+    scaled to d_j > 0, each c_j running over any m / d_j consecutive
+    integers: one broadcast per column.  Column j leaves the coordinates
+    before j alone, and each row's run starts where its coordinate j lies
+    in [0, d_j), so the rows come out sorted.  Products stay below m^2:
+    int64 for m < 2^31, Python ints above."""
+    k = len(tri)
     dtype = np.int64 if m < 2**31 else object
     sols = np.zeros((1, k), dtype=dtype)
     for j in range(k):
-        d = abs(ech[j][j])
+        d = abs(tri[j][j])
         if d == m:
             continue  # c_j = 0: the coordinates before fix coordinate j
-        col = np.array([ech[i][j] * d // ech[j][j] % m for i in range(k)], dtype=dtype)
+        col = np.array([tri[i][j] * d // tri[j][j] % m for i in range(k)], dtype=dtype)
         sols -= (sols[:, j] // d)[:, None] * col
         sols = sols[:, None, :] + np.arange(m // d, dtype=dtype)[:, None] * col
         sols %= m

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DENSITY_BUDGET,
     BudgetError,
     ValidationError,
     check_count,
@@ -33,11 +34,10 @@ from .errors import (
     refuse_overflow,
 )
 from .functions import DenseFn
-from .groups import GroupSpec
-from .intlattice import _column_reduce, kernel_mod_m, kernel_mod_m_size
+from .groups import GroupSpec, make_group
+from .intlattice import lattice_points_mod, rank, relation_lattice_basis, triangular_basis
 from .spectral import fft_rows, spectrum_array
 
-DENSITY_BUDGET = 10**8
 # bound on the bytes (32 MiB) a chunk of assignments holds at its peak
 CHUNK_BYTES = 1 << 25
 # assignments summed by one np.sum, whatever the chunks
@@ -239,10 +239,10 @@ def dual_constraint_solutions(
     = 0 in the dual for every variable m, as an (S, k) array of flat
     dual-element indices.
 
-    The congruences decouple across the coordinate factors of the dual, so
-    each factor's solution group is enumerated separately (from an echelon
-    basis of its solution lattice) and its rows are folded into the flat
-    indices as mixed-radix digits, the first factor varying slowest.
+    The congruences decouple across the coordinate factors of the dual.
+    In Z_m they are the relations among the forms in (Z_m)^n: one
+    triangular basis per factor counts and enumerates them, and its rows
+    fold into the flat indices as mixed-radix digits, first factor slowest.
 
     S = N^k / |im Lambda^T|.  For ap3, parallelogram and every graph up to
     K5 that is at most the N^n assignments density_brute sums over; denser
@@ -254,17 +254,18 @@ def dual_constraint_solutions(
     about 2kS entries at most."""
     if not group.is_finite:
         raise ValidationError("density evaluation needs a finite group")
-    k = config.size
-    lam_t = [list(col) for col in zip(*config.matrix())]
-    total = math.prod(kernel_mod_m_size(lam_t, k, m) for m in group.moduli)
+    k, forms = config.size, config.matrix()
+    tris = [triangular_basis(relation_lattice_basis(forms, make_group([m] * config.arity)))
+            for m in group.moduli]
+    total = math.prod(m // abs(t[j][j]) for m, t in zip(group.moduli, tris) for j in range(k))
     entries = total * (2 * k + 1)
     if entries > budget:
         raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}: "
                           f"enumerating them holds {entries} int64 entries")
     flat = np.zeros((1, k), dtype=np.int64)
-    for m in group.moduli:
+    for m, tri in zip(group.moduli, tris):
         flat *= m
-        flat = (flat[:, None, :] + kernel_mod_m(lam_t, k, m)).reshape(-1, k)
+        flat = (flat[:, None, :] + lattice_points_mod(tri, m)).reshape(-1, k)
     return flat
 
 
@@ -378,6 +379,5 @@ def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
 
 def _in_span(vec, vecs) -> bool:
     """vec is in the rational span of vecs iff appending it leaves the
-    matrix rank, the number of pivots of the column echelon form, unchanged."""
-    n = len(vec)
-    return _column_reduce(vecs, n, keep=0)[2] == _column_reduce(vecs + [vec], n, keep=0)[2]
+    rank unchanged."""
+    return rank(vecs, len(vec)) == rank(vecs + [vec], len(vec))

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WEIGHT_CAP,
+    DENSITY_BUDGET,
     BudgetError,
     PrecisionError,
     ValidationError,
@@ -426,9 +427,20 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     """Sorted eps values at which feasibility can flip.  Values at or below
     either truncation threshold (float noise between matching spectra) are
     left out: supp_eps cannot decide membership there.  Magnitudes come
-    from np.hypot, which rounds as Python's abs of a complex does."""
+    from np.hypot, which rounds as Python's abs of a complex does.  The
+    candidates are counted against DENSITY_BUDGET before they are built:
+    the n1 * n2 complex differences and their magnitudes, and the
+    concatenation and its sort."""
     v1, v2 = (np.fromiter(f.entries.values(), complex, len(f.entries)) for f in (f1, f2))
-    v, diffs = np.concatenate([v1, v2]), (v1[:, None] - v2[None, :]).ravel()
+    pairs, n = len(v1) * len(v2), len(v1) + len(v2) + weight_cap
+    entries = 3 * pairs + 2 * (pairs + n)
+    if entries > DENSITY_BUDGET:
+        raise BudgetError(f"{pairs} critical differences hold {entries} int64-sized entries, "
+                          f"over budget {DENSITY_BUDGET}")
+    # a difference that overflows exceeds DBL_MAX >= eps_max, so the filter
+    # below drops it whatever its value
+    with np.errstate(over="ignore"):
+        v, diffs = np.concatenate([v1, v2]), (v1[:, None] - v2[None, :]).ravel()
     vals = np.hypot(v.real, v.imag)
     eps_max = float(vals.max(initial=0.0))
     # sorted with repeats, which the merge below drops: np.unique would

@@ -15,7 +15,7 @@ from grouplim.extremal import (
     SPECTRAL_STEP_MIN,
     project_box_mean,
 )
-from grouplim.intlattice import integer_kernel, relations_match
+from grouplim.intlattice import relation_lattice_basis, relations_match
 from grouplim.linconfig import dual_density_and_gradient
 from grouplim.metric import (
     DEFAULT_WEIGHT_CAP,
@@ -156,13 +156,12 @@ def critical_candidates_oracle(f1: SparseFn, f2: SparseFn, weight_cap: int) -> l
 
 
 def kernel_mod_m_closure(rows, k, m):
-    """Oracle for intlattice.kernel_mod_m: all solutions r in (Z_m)^k of
-    (rows) r = 0 mod m, as the sorted list of tuples of the subgroup
-    generated by the projections of the integer kernel of [rows | m*I],
-    closed by breadth-first span."""
-    full_rows = [list(row) + [m if j == i else 0 for j in range(len(rows))]
-                 for i, row in enumerate(rows)]
-    lattice = [vec[:k] for vec in integer_kernel(full_rows, k + len(rows))]
+    """Oracle for intlattice.lattice_points_mod: all solutions r in (Z_m)^k
+    of (rows) r = 0 mod m, as the sorted list of tuples of the subgroup
+    generated by the relations among the columns of rows in (Z_m)^len(rows)
+    (a zero row where there are none), closed by breadth-first span."""
+    cols = list(zip(*rows)) if rows else [(0,)] * k
+    lattice = relation_lattice_basis(cols, make_group([m] * len(cols[0])))
     gens = {tuple(v % m for v in vec) for vec in lattice}
     # subgroup closure by breadth-first span
     seen = {(0,) * k}

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import grouplim
 from grouplim import (DenseFn, adjust_density, builtin_config, cli as cli_module, constant_fn,
-                      d_metric, density_monte_carlo, extremal, make_group, minimize_density,
+                      d_metric, density_monte_carlo, extremal, make_group, metric,
+                      minimize_density,
                       rho_curve, round_best_of, rounding, sequences, spectral)
 from grouplim.cli import main
 from grouplim.errors import BudgetError, ValidationError
@@ -138,6 +139,31 @@ def test_huge_p_exits_2_before_enumerating_the_dual_lattice(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "2305843009213693951 points, over budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["minimize", "--delta", "0.5"], ["rho-curve"]])
+def test_pool_over_budget_exits_2_before_the_first_start(capsys, monkeypatch, argv):
+    # as graph:0-1 does on Z_100000000003 at the default budget
+    monkeypatch.setattr(extremal, "DENSITY_BUDGET", 10**4)
+    code = main(argv + ["--config", "graph:0-1", "--p", "101", "--restarts", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "pool holds" in captured.err and "internal error" not in captured.err
+
+
+def test_dist_over_the_candidate_budget_exits_2(capsys, monkeypatch, tmp_path):
+    # as two random functions on Z_40000 do at the default budget
+    paths = []
+    for n in (20, 30):
+        paths.append(str(tmp_path / f"z{n}.json"))
+        f = DenseFn(make_group([n]), np.random.default_rng(n).random(n).astype(np.complex128))
+        with open(paths[-1], "w") as fh:
+            json.dump(f.to_json(), fh)
+    monkeypatch.setattr(metric, "DENSITY_BUDGET", 10**3, raising=False)
+    code = main(["dist", "--lhs", paths[0], "--rhs", paths[1], "--budget", "1000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "600 critical differences" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["minimize", "--delta", "0.5", "--restarts", "-3"],

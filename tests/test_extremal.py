@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouplim import DenseFn, extremal, make_group
-from grouplim.errors import ValidationError
+from grouplim.errors import BudgetError, ValidationError
 from grouplim.extremal import (
     _pgd,
     _project_rows,
@@ -644,3 +644,21 @@ def test_rho_curve_validates_before_any_work(kwargs, monkeypatch):
     with pytest.raises(ValidationError):
         rho_curve(builtin_config("ap3"), args["p"], args["deltas"], restarts=1,
                   seed=args["seed"])
+
+
+@pytest.mark.parametrize("run", [lambda: minimize_density(builtin_config("ap3"), 401, 0.5, 0),
+                                 lambda: rho_curve(builtin_config("ap3"), 401, [0.3, 0.5], 0)])
+def test_pool_over_budget_is_refused_before_the_first_start(monkeypatch, run):
+    # graph:0-1 on Z_100000000003 has a one-point dual lattice and a pool
+    # row of 745 GiB; a low budget refuses ap3's pool on Z_401 the same way
+    monkeypatch.setattr(extremal, "DENSITY_BUDGET", 10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="pool holds .* over budget 10000"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sols = dual_constraint_solutions(builtin_config("ap3"), make_group([401]))
+    refused = extremal._call_rows(sols, 401) * extremal._row_bytes(sols, 401)
+    assert peak < refused / 10

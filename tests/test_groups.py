@@ -168,3 +168,10 @@ def test_dual_of_finite_group_is_itself(z12):
 def test_json_roundtrip():
     G = make_group([0, 2, 9])
     assert GroupSpec.from_json(G.to_json()) == G
+
+
+@pytest.mark.parametrize("moduli, idx", [([5], 5), ([5], -1), ([2, 3], 6), ([2, 3], 7)])
+def test_elem_at_refuses_an_index_outside_the_group(moduli, idx):
+    # elem_at inverts index_of on [0, order); it does not wrap
+    with pytest.raises(ValidationError, match="element index must lie in"):
+        make_group(moduli).elem_at(idx)

@@ -1,11 +1,13 @@
-"""Integer kernels and column reduction against Fraction elimination, an
-oracle that shares no code with intlattice."""
+"""Integer kernels, ranks and column reduction against Fraction
+elimination, an oracle that shares no code with intlattice."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouplim.intlattice import _column_reduce, integer_kernel
+from grouplim import builtin_config, make_group
+from grouplim.intlattice import _column_reduce, rank, relation_lattice_basis
 from grouplim.linconfig import _in_span
 
 
@@ -52,7 +54,8 @@ _matrices = st.integers(1, 7).flatmap(lambda ncols: st.tuples(
 @given(_matrices)
 def test_integer_kernel_is_a_basis_of_the_kernel_lattice(case):
     rows, ncols = case
-    kernel = integer_kernel(rows, ncols)
+    # the kernel of M is the relation lattice of its columns in Z^nrows
+    kernel = relation_lattice_basis(list(zip(*rows)), make_group([0] * len(rows)))
     # every returned vector solves M x = 0, and there are ncols - rank
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for v in kernel for row in rows)
     assert len(kernel) == ncols - _rank(rows)
@@ -104,3 +107,20 @@ def test_column_reduce_keeps_the_first_rows_of_the_transform(case, data):
 def test_in_span_agrees_with_the_fraction_rank(case):
     vec, vecs = case
     assert _in_span(vec, vecs) == (_rank(vecs + [vec]) == _rank(vecs))
+
+
+@pytest.mark.parametrize("name, expected", [("ap3", 1), ("parallelogram", 1),
+                                            ("graph:0-1,1-2,2-3,3-0", 1),
+                                            ("graph:0-1,1-2,2-0", 0),
+                                            ("graph:0-1,0-2,0-3,1-2,1-3,2-3", 2)])
+def test_dual_lattice_over_z_is_the_relation_lattice_of_the_forms(name, expected):
+    # the forms' relations in Z^n: rank 1 for ap3, parallelogram and C4,
+    # 0 for C3 and 2 for K4
+    cfg = builtin_config(name)
+    basis = relation_lattice_basis(cfg.matrix(), make_group([0] * cfg.arity))
+    assert len(basis) == expected == cfg.size - rank(cfg.matrix(), cfg.arity)
+    assert all(not any(sum(c * row[i] for c, row in zip(v, cfg.matrix()))
+                       for i in range(cfg.arity)) for v in basis)
+    if name == "ap3":
+        # x - 2(x + y) + (x + 2y) = 0 spans them
+        assert basis in ([[1, -2, 1]], [[-1, 2, -1]])

@@ -1,14 +1,15 @@
 """Linear configurations and their density routes."""
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from grouplim import DenseFn, constant_fn, indicator_fn, linconfig, make_group
+from grouplim import DenseFn, constant_fn, indicator_fn, intlattice, linconfig, make_group
 from grouplim.errors import BudgetError, ValidationError
-from grouplim.intlattice import kernel_mod_m, kernel_mod_m_size
+from grouplim.intlattice import lattice_points_mod, relation_lattice_basis, triangular_basis
 from grouplim.linconfig import (
     ConfigSystem,
     builtin_config,
@@ -222,15 +223,28 @@ def _complete_graph(n):
                                               for j in range(i + 1, n)))
 
 
+def _solutions_mod(elems, m):
+    """The count prod_j m / |d_j| and the points of the relation lattice
+    of elems in (Z_m)^n mod m, both from its one triangular basis."""
+    tri = triangular_basis(relation_lattice_basis(elems, make_group([m] * len(elems[0]))))
+    return math.prod(m // abs(tri[j][j]) for j in range(len(elems))), lattice_points_mod(tri, m)
+
+
+def _system_mod(rows, k, m):
+    """_solutions_mod of the system (rows) r = 0 mod m in k unknowns: the
+    relations among its columns, a zero row standing for no rows."""
+    return _solutions_mod(list(zip(*rows)) if rows else [(0,)] * k, m)
+
+
 @pytest.mark.parametrize("cfg, top", [(builtin_config("ap3"), 30),
                                       (builtin_config("parallelogram"), 30),
                                       (_complete_graph(4), 30),
                                       # K5 has 2m^5 solutions mod even m
                                       (_complete_graph(5), 12)])
 def test_kernel_count_matches_the_enumeration(cfg, top):
-    lam_t = [list(col) for col in zip(*cfg.matrix())]
     for m in range(1, top + 1):
-        assert kernel_mod_m_size(lam_t, cfg.size, m) == len(kernel_mod_m(lam_t, cfg.size, m))
+        count, sols = _solutions_mod(cfg.matrix(), m)
+        assert count == len(sols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +255,8 @@ def test_kernel_count_matches_brute_force_on_small_systems(system, m):
     k, rows = system
     brute = sum(all(sum(a * x for a, x in zip(row, r)) % m == 0 for row in rows)
                 for r in itertools.product(range(m), repeat=k))
-    assert kernel_mod_m_size(rows, k, m) == brute == len(kernel_mod_m(rows, k, m))
+    count, sols = _system_mod(rows, k, m)
+    assert count == brute == len(sols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,9 +268,9 @@ def test_kernel_count_matches_brute_force_on_small_systems(system, m):
 @example((2, [[6, 4]]), 1)
 def test_kernel_enumeration_matches_the_closure_oracle(system, m):
     k, rows = system
+    count, sols = _system_mod(rows, k, m)
     # the oracle's breadth-first closure is slow past a few 10^4 points
-    assume(kernel_mod_m_size(rows, k, m) <= 30**3)
-    sols = kernel_mod_m(rows, k, m)
+    assume(count <= 30**3)
     assert sols.dtype == np.int64
     np.testing.assert_array_equal(
         sols, np.array(kernel_mod_m_closure(rows, k, m), dtype=np.int64).reshape(-1, k))
@@ -265,9 +280,9 @@ def test_kernel_enumeration_is_exact_for_a_huge_composite_modulus():
     # the echelon columns have entries near m, and c_j * col_j passes 2^63
     m = 3 * 2**61
     rows = [[512, 3, 0], [0, 12, 256], [5, 0, 1]]
-    sols = kernel_mod_m(rows, 3, m)
+    count, sols = _system_mod(rows, 3, m)
     assert sols.dtype == np.int64
-    assert 1 < len(sols) == kernel_mod_m_size(rows, 3, m) <= 10**5
+    assert 1 < len(sols) == count <= 10**5
     as_tuples = [tuple(r) for r in sols.tolist()]
     assert as_tuples == sorted(set(as_tuples))
     assert all(0 <= x < m for r in as_tuples for x in r)
@@ -278,10 +293,27 @@ def test_dual_lattice_over_budget_raises_before_enumerating(monkeypatch):
     def fail(*args):
         raise AssertionError("enumerated a solution group")
 
-    monkeypatch.setattr(linconfig, "kernel_mod_m", fail)
+    monkeypatch.setattr(linconfig, "lattice_points_mod", fail)
     for p in (2**61 - 1, 10**4 + 7):
         with pytest.raises(BudgetError, match=f"has {p} points"):
             dual_constraint_solutions(builtin_config("ap3"), make_group([p]), budget=10**4)
+
+
+@pytest.mark.parametrize("cfg, moduli", [(builtin_config("ap3"), [101]),
+                                         (builtin_config("graph:0-1,1-2,2-3,3-0"), [3, 5, 2])])
+def test_dual_lattice_is_reduced_once_per_factor(monkeypatch, cfg, moduli):
+    # one column reduction builds the relation lattice of a factor and one
+    # makes it triangular, which both counts and enumerates its points
+    calls = []
+    column_reduce = intlattice._column_reduce
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return column_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(intlattice, "_column_reduce", spy)
+    dual_constraint_solutions(cfg, make_group(moduli))
+    assert len(calls) == 2 * len(moduli)
 
 
 def test_dual_lattice_over_its_entry_budget_raises_before_enumerating(monkeypatch):
@@ -290,7 +322,7 @@ def test_dual_lattice_over_its_entry_budget_raises_before_enumerating(monkeypatc
     def fail(*args):
         raise AssertionError("enumerated a solution group")
 
-    monkeypatch.setattr(linconfig, "kernel_mod_m", fail)
+    monkeypatch.setattr(linconfig, "lattice_points_mod", fail)
     k5 = _complete_graph(5)
     points = 2 * 30**5
     assert points < linconfig.DENSITY_BUDGET

@@ -1,6 +1,7 @@
 """Distance brackets, partial isomorphisms, and epsilon-supports."""
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -739,3 +740,31 @@ def test_search_maps_more_entries_than_the_recursion_limit():
     pairs = metric._search(f, f, sorted(f.entries), None, EXACT_TOL,
                            metric._Budget(10**4), lambda gs, hs: True)
     assert pairs == [(g, g) for g in sorted(f.entries)]
+
+
+def test_critical_candidates_over_budget_are_refused_before_they_are_built(monkeypatch):
+    # two random functions on Z_40000 would take 23.8 GiB of differences;
+    # a low budget refuses Z_200's 40 000 the same way
+    f, g = (dft(random_dense(make_group([200]), seed)) for seed in (1, 2))
+    monkeypatch.setattr(metric, "DENSITY_BUDGET", 10**4, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="40000 critical differences hold 200824 "
+                                              "int64-sized entries, over budget 10000"):
+            metric._critical_candidates(f, g, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the differences alone would be 40 000 complex values
+    assert peak < 40000 * 16 / 10
+
+
+def test_overflowing_differences_are_dropped_without_a_warning():
+    # RuntimeWarning is an error here: 1e308 - (-9e307) overflows, and a
+    # difference past DBL_MAX lies above every value, so it is no candidate
+    G = make_group([5])
+    f = SparseFn(G, {(1,): 1e308, (2,): -1e308})
+    g = SparseFn(G, {(1,): -9e307, (3,): 9e307})
+    cands = metric._critical_candidates(f, g, 12)
+    assert cands == critical_candidates_oracle(f, g, 12)
+    assert cands[-1] == 1e308 and all(map(math.isfinite, cands))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from grouplim import DenseFn, constant_fn, make_group, sequences
+from grouplim import DenseFn, constant_fn, make_group, metric, sequences
 from grouplim.errors import ValidationError
 from grouplim.linconfig import builtin_config, density_brute
 from grouplim.metric import d_metric, dprime
@@ -134,3 +134,12 @@ def test_cauchy_detect_rejects_tol_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(ValidationError):
         cauchy_detect(table, tol)
     assert cauchy_detect(table, 0.0) == (True, 0)
+
+
+def test_pairwise_table_cell_over_the_candidate_budget_is_none(monkeypatch):
+    fs = [random_dense(make_group([n]), seed) for n, seed in ((30, 1), (40, 2))]
+    monkeypatch.setattr(metric, "DENSITY_BUDGET", 10**3, raising=False)
+    table = pairwise_table(fs)
+    # 30 x 40 differences are over budget; the diagonal needs no metric call
+    assert table[0][1] is None and table[1][0] is None
+    assert table[0][0].hi == table[1][1].hi == 0.0
