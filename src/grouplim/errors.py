@@ -19,10 +19,14 @@ DENSITY_BUDGET = 10**8
 # Random streams: a Philox key is below 2**KEY_BITS.  Restart r = 1 ..
 # MAX_RESTARTS of seed s draws from the key s * 2**RESTART_BITS + r - 1,
 # and rounding try t < MAX_TRIES from s * 2**TRY_BITS + t, so the keys of
-# different seeds stay apart.
+# different seeds stay apart.  These draw from counter 0 on.  The density
+# top-up of seed s draws from the key s with its counter jumped
+# TOPUP_JUMPS times by 2**128, past every draw of a rounding try, whose
+# key it may share.
 KEY_BITS = 128
 RESTART_BITS = 20
 TRY_BITS = 16
+TOPUP_JUMPS = 1
 MAX_RESTARTS = 1 << RESTART_BITS
 MAX_TRIES = 1 << TRY_BITS
 

@@ -34,6 +34,8 @@ from .intlattice import relations_match
 from .spectral import dft
 
 EXACT_TOL = 1e-12
+# sorted critical values turned into Python floats at a time
+MERGE_CHUNK = 1024
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -237,51 +239,6 @@ class _Ball:
         return self.push(gs[k], hs[k])
 
 
-class _Verdicts:
-    """The relation verdicts of one bracket, shared by its probes.  A
-    prefix of a search map is keyed by its parent prefix's id and its last
-    pair, and holds the highest weight at which it is known consistent and
-    the lowest at which it is known inconsistent.  A map consistent at a
-    weight is consistent at every lower one, so a verdict is reused only in
-    that direction.  At most limit prefixes are kept; the others are
-    checked each time they come up."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.ids: dict[tuple[int, Elem, Elem], int] = {}
-        # per prefix id, 0 being the empty map
-        self.ok, self.bad = [0], [math.inf]
-
-    def checker(self, ball: _Ball) -> Callable[[list[Elem], list[Elem]], bool]:
-        """The consistent(gs, hs) of _search at ball's weight: a known
-        verdict costs nothing, another is computed by ball.extend."""
-        ids, ok, bad, weight = self.ids, self.ok, self.bad, ball.weight
-        # ids of the prefixes of the search's current map, -1 for one not kept
-        path = [0]
-
-        def consistent(gs: list[Elem], hs: list[Elem]) -> bool:
-            del path[len(gs):]
-            key = (path[-1], gs[-1], hs[-1])
-            i = ids.get(key) if path[-1] >= 0 else None
-            if i is not None and weight <= ok[i]:
-                path.append(i)
-                return True
-            if i is not None and weight >= bad[i]:
-                return False
-            res = ball.extend(gs, hs)
-            if i is None and path[-1] >= 0 and len(ids) < self.limit:
-                i = ids[key] = len(ok)
-                ok.append(0)
-                bad.append(math.inf)
-            if i is not None:
-                (ok if res else bad)[i] = weight
-            if res:
-                path.append(-1 if i is None else i)
-            return res
-
-        return consistent
-
-
 def check_partial_iso(phi: PartialIso, g1: GroupSpec, g2: GroupSpec) -> bool:
     """Full weight-n relation check for an explicit map."""
     gs = [g1.reduce(g) for g in phi.domain()]
@@ -361,45 +318,6 @@ def _search(
     return None
 
 
-def exists_eps_iso(
-    f1: SparseFn,
-    f2: SparseFn,
-    eps: float,
-    weight: Optional[int] = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[PartialIso]:
-    """Search for an eps-isomorphism between f1 and f2: a map of
-    supp_eps(f1), padded with further stored entries of f1 so that its image
-    covers supp_eps(f2), pairing values within eps and keeping every
-    relation of weight ceil(1/eps) (or the given weight).
-
-    Returns a witnessing PartialIso or None when the (exhaustive,
-    budget-bounded) backtracking proves none exists.  Raises BudgetError if
-    the node cap was hit, which is distinguishable from a definite None."""
-    return _eps_iso(f1, f2, eps, weight, node_budget, _Verdicts(node_budget))
-
-
-def _eps_iso(
-    f1: SparseFn,
-    f2: SparseFn,
-    eps: float,
-    weight: Optional[int],
-    node_budget: int,
-    verdicts: _Verdicts,
-) -> Optional[PartialIso]:
-    """exists_eps_iso, reusing and adding to the relation verdicts of a
-    bracket."""
-    sources, targets = sorted(supp_eps(f1, eps)), supp_eps(f2, eps)
-    if weight is None:
-        weight = max(1, math.ceil(1.0 / eps - 1e-12))
-    else:
-        check_count(weight, "weight")
-    budget = _Budget(node_budget)
-    ball = _Ball(f1.group, f2.group, weight, budget, f1.entries, f2.entries)
-    pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, verdicts.checker(ball))
-    return None if pairs is None else PartialIso(pairs, weight)
-
-
 def _exact_iso(f1: SparseFn, f2: SparseFn, node_budget: int) -> Optional[PartialIso]:
     """A value-preserving bijection between the stored supports whose
     relation lattices coincide exactly, or None (also when the budget runs
@@ -429,8 +347,11 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     left out: supp_eps cannot decide membership there.  Magnitudes come
     from np.hypot, which rounds as Python's abs of a complex does.  The
     candidates are counted against DENSITY_BUDGET before they are built:
-    the n1 * n2 complex differences and their magnitudes, and the
-    concatenation and its sort."""
+    5 int64-sized entries per difference and 2 per other candidate.  The
+    peak holds the n1 * n2 complex differences, their magnitudes and the
+    concatenation (4 entries a difference), or at the end the sorted array
+    and the list it is merged into, MERGE_CHUNK values at a time (1 entry
+    in the array, 3 for a Python float and up to 1.125 for its pointer)."""
     v1, v2 = (np.fromiter(f.entries.values(), complex, len(f.entries)) for f in (f1, f2))
     pairs, n = len(v1) * len(v2), len(v1) + len(v2) + weight_cap
     entries = 3 * pairs + 2 * (pairs + n)
@@ -443,18 +364,163 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
         v, diffs = np.concatenate([v1, v2]), (v1[:, None] - v2[None, :]).ravel()
     vals = np.hypot(v.real, v.imag)
     eps_max = float(vals.max(initial=0.0))
-    # sorted with repeats, which the merge below drops: np.unique would
-    # import numpy.ma, which costs a cold CLI call more than the repeats
-    cands = np.sort(np.concatenate([1.0 / np.arange(1, weight_cap + 1), vals,
-                                    np.hypot(diffs.real, diffs.imag)]))
-    floor = max(f1.truncation, f2.truncation)
+    # sorted in place with repeats, which the merge below drops: np.unique
+    # would import numpy.ma, which costs a cold CLI call more than the repeats
+    cands = np.concatenate([1.0 / np.arange(1, weight_cap + 1), vals,
+                            np.hypot(diffs.real, diffs.imag)])
+    del v1, v2, v, vals, diffs
+    cands.sort()
+    lo, hi = np.searchsorted(cands, [max(f1.truncation, f2.truncation), eps_max + 1e-15],
+                             side="right")
     merged: list[float] = []
-    for c in cands[(cands > floor) & (cands <= eps_max + 1e-15)].tolist():
-        if not merged or c - merged[-1] > EXACT_TOL:
-            merged.append(c)
+    for start in range(lo, hi, MERGE_CHUNK):
+        for c in cands[start:min(start + MERGE_CHUNK, hi)].tolist():
+            if not merged or c - merged[-1] > EXACT_TOL:
+                merged.append(c)
     if not merged or abs(merged[-1] - eps_max) > EXACT_TOL:
         merged = [c for c in merged if c < eps_max] + [eps_max]
     return merged
+
+
+class _Probes:
+    """The feasibility probes between functions on g1 and functions on g2,
+    each with its own node_budget, and the relation verdicts they share.  A
+    verdict depends only on a map and the two groups, not on the values, so
+    every bracket on the group pair may reuse it.  A prefix of a search map
+    is keyed by its parent prefix's id and its last pair, and holds the
+    highest weight at which it is known consistent and the lowest at which
+    it is known inconsistent.  A map consistent at a weight is consistent
+    at every lower one, so a verdict is reused only in that direction.  At
+    most limit (node_budget) prefixes are kept; the others are checked each
+    time they come up."""
+
+    def __init__(self, g1: GroupSpec, g2: GroupSpec, node_budget: int):
+        self.g1, self.g2, self.node_budget, self.limit = g1, g2, node_budget, node_budget
+        self.ids: dict[tuple[int, Elem, Elem], int] = {}
+        # per prefix id, 0 being the empty map
+        self.ok, self.bad = [0], [math.inf]
+
+    def __call__(self, f1: SparseFn, f2: SparseFn, eps: float,
+                 weight: Optional[int] = None) -> Optional[PartialIso]:
+        """exists_eps_iso, reusing and adding to the verdicts."""
+        sources, targets = sorted(supp_eps(f1, eps)), supp_eps(f2, eps)
+        if weight is None:
+            weight = max(1, math.ceil(1.0 / eps - 1e-12))
+        else:
+            check_count(weight, "weight")
+        budget = _Budget(self.node_budget)
+        ball = _Ball(self.g1, self.g2, weight, budget, f1.entries, f2.entries)
+        pairs = _search(f1, f2, sources, targets, eps + 1e-15, budget, self.checker(ball))
+        return None if pairs is None else PartialIso(pairs, weight)
+
+    def checker(self, ball: _Ball) -> Callable[[list[Elem], list[Elem]], bool]:
+        """The consistent(gs, hs) of _search at ball's weight: a known
+        verdict costs nothing, another is computed by ball.extend."""
+        ids, ok, bad, weight = self.ids, self.ok, self.bad, ball.weight
+        # ids of the prefixes of the search's current map, -1 for one not kept
+        path = [0]
+
+        def consistent(gs: list[Elem], hs: list[Elem]) -> bool:
+            del path[len(gs):]
+            key = (path[-1], gs[-1], hs[-1])
+            i = ids.get(key) if path[-1] >= 0 else None
+            if i is not None and weight <= ok[i]:
+                path.append(i)
+                return True
+            if i is not None and weight >= bad[i]:
+                return False
+            res = ball.extend(gs, hs)
+            if i is None and path[-1] >= 0 and len(ids) < self.limit:
+                i = ids[key] = len(ok)
+                ok.append(0)
+                bad.append(math.inf)
+            if i is not None:
+                (ok if res else bad)[i] = weight
+            if res:
+                path.append(-1 if i is None else i)
+            return res
+
+        return consistent
+
+    def bracket(self, f1: SparseFn, f2: SparseFn, weight_cap: int,
+                tight: bool = False) -> DistBracket:
+        """dhat(f1, f2, weight_cap, node_budget), or if tight the
+        dprime_from_spectra of the spectra f1 and f2."""
+        check_search_limits(weight_cap, self.node_budget)
+        if not f1.entries and not f2.entries:
+            return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
+
+        exact_iso = _exact_iso(f1, f2, self.node_budget)
+        if exact_iso is not None:
+            return DistBracket(0.0, 0.0, witness=exact_iso, exact=True)
+
+        cands = _critical_candidates(f1, f2, weight_cap)
+        # bad: largest index verified infeasible; good: least verified feasible
+        bad, good, witness, capped, unknown = -1, None, None, False, []
+
+        def probe(i: int) -> Optional[bool]:
+            nonlocal bad, good, witness, capped
+            eps = cands[i]
+            req_weight = max(1, math.ceil(1.0 / eps - 1e-12))
+            try:
+                wit = self(f1, f2, eps, min(req_weight, weight_cap))
+            except BudgetError:
+                unknown.append(i)
+                return None
+            if wit is None:
+                bad = i
+            else:
+                good, witness, capped = i, wit, req_weight > weight_cap
+            return wit is not None
+
+        probe(len(cands) - 1)
+        # bisect for the least feasible index; an unknown probe sends the
+        # search above it, where supports are smaller and probes cheaper
+        lo, hi = 0, len(cands) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        # then bisect once below the lowest unknown probe left above bad for
+        # the largest infeasible index, moving down past unknown probes
+        top = len(cands) if good is None else good
+        lo, hi = bad + 1, min((u for u in unknown if bad < u < top), default=bad + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(mid) is False:
+                lo = mid + 1
+            else:
+                hi = mid
+
+        if good is None:
+            raise BudgetError("could not verify feasibility at any candidate eps within budget")
+        # feasibility is monotone in eps, so every candidate up to bad is infeasible
+        lo_val = cands[bad] if bad >= 0 else 0.0
+        hi_val = cands[good]
+        exact = (hi_val - lo_val) <= EXACT_TOL and not capped and not unknown
+        b = DistBracket(lo=lo_val, hi=hi_val, witness=witness, exact=exact,
+                        weight_capped=capped, budget_exceeded=bool(unknown))
+        return b.shift(abs(f1.l2_norm() - f2.l2_norm())) if tight else b
+
+
+def exists_eps_iso(
+    f1: SparseFn,
+    f2: SparseFn,
+    eps: float,
+    weight: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Optional[PartialIso]:
+    """Search for an eps-isomorphism between f1 and f2: a map of
+    supp_eps(f1), padded with further stored entries of f1 so that its image
+    covers supp_eps(f2), pairing values within eps and keeping every
+    relation of weight ceil(1/eps) (or the given weight).
+
+    Returns a witnessing PartialIso or None when the (exhaustive,
+    budget-bounded) backtracking proves none exists.  Raises BudgetError if
+    the node cap was hit, which is distinguishable from a definite None."""
+    return _Probes(f1.group, f2.group, node_budget)(f1, f2, eps, weight)
 
 
 def dhat(
@@ -475,63 +541,7 @@ def dhat(
     without such a probe exactly those of the plain bisection.  A binding
     cap sets weight_capped, an exhausted probe budget_exceeded, and either
     keeps the bracket from being reported exact."""
-    check_search_limits(weight_cap, node_budget)
-    if not f1.entries and not f2.entries:
-        return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
-
-    exact_iso = _exact_iso(f1, f2, node_budget)
-    if exact_iso is not None:
-        return DistBracket(0.0, 0.0, witness=exact_iso, exact=True)
-
-    cands = _critical_candidates(f1, f2, weight_cap)
-    verdicts = _Verdicts(node_budget)
-    # bad: largest index verified infeasible; good: least verified feasible
-    bad, good, witness, capped, unknown = -1, None, None, False, []
-
-    def probe(i: int) -> Optional[bool]:
-        nonlocal bad, good, witness, capped
-        eps = cands[i]
-        req_weight = max(1, math.ceil(1.0 / eps - 1e-12))
-        try:
-            wit = _eps_iso(f1, f2, eps, min(req_weight, weight_cap), node_budget, verdicts)
-        except BudgetError:
-            unknown.append(i)
-            return None
-        if wit is None:
-            bad = i
-        else:
-            good, witness, capped = i, wit, req_weight > weight_cap
-        return wit is not None
-
-    probe(len(cands) - 1)
-    # bisect for the least feasible index; an unknown probe sends the
-    # search above it, where supports are smaller and probes cheaper
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    # then bisect once below the lowest unknown probe left above bad for
-    # the largest infeasible index, moving down past unknown probes
-    top = len(cands) if good is None else good
-    lo, hi = bad + 1, min((u for u in unknown if bad < u < top), default=bad + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if probe(mid) is False:
-            lo = mid + 1
-        else:
-            hi = mid
-
-    if good is None:
-        raise BudgetError("could not verify feasibility at any candidate eps within budget")
-    # feasibility is monotone in eps, so every candidate up to bad is infeasible
-    lo_val = cands[bad] if bad >= 0 else 0.0
-    hi_val = cands[good]
-    exact = (hi_val - lo_val) <= EXACT_TOL and not capped and not unknown
-    return DistBracket(lo=lo_val, hi=hi_val, witness=witness, exact=exact,
-                       weight_capped=capped, budget_exceeded=bool(unknown))
+    return _Probes(f1.group, f2.group, node_budget).bracket(f1, f2, weight_cap)
 
 
 def d_metric(
@@ -574,5 +584,4 @@ def dprime_from_spectra(
     An exact [0, 0] from dhat maps one spectrum onto the other, so the two
     carry the same l2 mass and the bracket stays [0, 0]: the float gap
     between norms summed in different orders is left out."""
-    b = dhat(s1, s2, weight_cap=weight_cap, node_budget=node_budget)
-    return b if b.exact and b.hi == 0 else b.shift(abs(s1.l2_norm() - s2.l2_norm()))
+    return _Probes(s1.group, s2.group, node_budget).bracket(s1, s2, weight_cap, tight=True)

@@ -9,7 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MAX_TRIES, TRY_BITS, ValidationError, check_count, check_delta, check_seed
+from .errors import (MAX_TRIES, TOPUP_JUMPS, TRY_BITS, ValidationError, check_count, check_delta,
+                     check_seed)
 from .functions import DenseFn
 from .spectral import u2_fourier
 
@@ -54,7 +55,9 @@ def round_best_of(f: DenseFn, seed: int, tries: int = 8) -> tuple[DenseFn, float
 def adjust_density(h: DenseFn, delta: float, seed: int) -> DenseFn:
     """If mean(h) is below delta, flip uniformly random zero positions to 1
     until the count of ones is ceil(delta * |A|); otherwise return h
-    unchanged.  Values are never lowered."""
+    unchanged.  Values are never lowered.  The positions come from the
+    top-up stream of seed (errors.TOPUP_JUMPS), which no rounding try
+    draws from."""
     check_seed(seed)
     check_delta(delta)
     vals = h.values.real
@@ -66,7 +69,7 @@ def adjust_density(h: DenseFn, delta: float, seed: int) -> DenseFn:
         return h
     target = math.ceil(delta * n)
     zeros = np.nonzero(vals < 0.5)[0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(TOPUP_JUMPS))
     flip = rng.permutation(zeros)[: target - ones]
     out = vals.copy()
     out[flip] = 1.0

@@ -15,14 +15,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError, check_count, check_search_limits, check_tol
 from .functions import DenseFn
 from .linconfig import ConfigSystem, cs_complexity_at_most_1, density_fourier
-from .metric import (
-    DEFAULT_NODE_BUDGET,
-    DEFAULT_WEIGHT_CAP,
-    DistBracket,
-    d_metric,
-    dhat,
-    dprime_from_spectra,
-)
+from .metric import DEFAULT_NODE_BUDGET, DEFAULT_WEIGHT_CAP, DistBracket, _Probes, d_metric
 from .spectral import dft
 
 
@@ -35,20 +28,26 @@ def pairwise_table(
     """Symmetric table of distance brackets; the diagonal is exact zero.
     Cells whose metric call exceeds its budget hold None.  Each cell is the
     d_metric (or dprime) bracket of its pair, with every function's
-    spectrum computed once for the whole table."""
+    spectrum computed once for the whole table and one probe engine per
+    group pair, whose relation verdicts the pair's cells share: the engines
+    are made one at a time, so at most one memo is held."""
     if metric not in ("d", "dprime"):
         raise ValidationError("metric must be 'd' or 'dprime'")
     check_search_limits(weight_cap, node_budget)
     n = len(fs)
     specs = [dft(f) for f in fs]
-    dist = dhat if metric == "d" else dprime_from_spectra
     table: list[list[Optional[DistBracket]]] = [[None] * n for _ in range(n)]
+    # the cells i < j of each group pair, in row order
+    cells: dict[tuple, list[tuple[int, int]]] = {}
     for i in range(n):
         table[i][i] = DistBracket(0.0, 0.0, exact=True)
-    for i in range(n):
         for j in range(i + 1, n):
+            cells.setdefault((specs[i].group, specs[j].group), []).append((i, j))
+    for pair, ijs in cells.items():
+        probes = _Probes(*pair, node_budget)
+        for i, j in ijs:
             try:
-                b = dist(specs[i], specs[j], weight_cap=weight_cap, node_budget=node_budget)
+                b = probes.bracket(specs[i], specs[j], weight_cap, metric == "dprime")
             except BudgetError:
                 b = None
             table[i][j] = b

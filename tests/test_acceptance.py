@@ -10,8 +10,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grouplim import DenseFn, SparseFn, constant_fn, make_group
+from grouplim import DenseFn, SparseFn, constant_fn, make_group, metric
+from grouplim.errors import BudgetError
 from grouplim.extremal import minimize_density, rho_curve
 from grouplim.graphon import Graph, verify_bridge
 from grouplim.linconfig import (
@@ -20,9 +22,10 @@ from grouplim.linconfig import (
     density_fourier,
     graph_config,
 )
-from grouplim.metric import dhat
+from grouplim.metric import dhat, dprime_from_spectra
 from grouplim.rounding import randomized_round
-from grouplim.spectral import spectrum_array, u2_direct, u2_fourier
+from grouplim.sequences import pairwise_table
+from grouplim.spectral import dft, idft, spectrum_array, u2_direct, u2_fourier
 
 
 def _report(num, name, ok, elapsed, budget, detail=""):
@@ -273,6 +276,44 @@ def test_starved_brackets_contain_the_oracle_infimum(node_budget):
         assert b.lo - 1e-12 <= inf <= b.hi + 1e-12, (f1, f2, b)
         starved += b.budget_exceeded
     assert starved > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dist=st.sampled_from(["d", "dprime"]))
+def test_a_shared_probe_engine_changes_no_decided_bracket(seed, dist):
+    # three functions on Z_6 and three on Z_2 x Z_4, each with a sparse
+    # spectrum, so that the nine cells between the groups share one probe
+    # engine.  A cell decided in the table and alone is the same bracket,
+    # witness included; every cell holds the oracle's infimum (plus the
+    # norm gap for d'); no engine keeps more than node_budget prefixes
+    rng = np.random.default_rng(seed)
+    fs = [idft(_random_sparse(G, rng, int(rng.integers(1, 6))))
+          for G in [make_group([6])] * 3 + [make_group([2, 4])] * 3]
+    specs = [dft(f) for f in fs]
+    alone = dhat if dist == "d" else dprime_from_spectra
+    init = metric._Probes.__init__
+    for node_budget in (20, 200, 10**5):
+        engines = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric._Probes, "__init__",
+                       lambda probes, *a: init(probes, *a) or engines.append(probes))
+            table = pairwise_table(fs, dist, node_budget=node_budget)
+        assert len(engines) == 3 and all(len(e.ids) <= node_budget for e in engines)
+        for i, j in itertools.combinations(range(len(fs)), 2):
+            cell = table[i][j]
+            try:
+                fresh = alone(specs[i], specs[j], node_budget=node_budget)
+            except BudgetError:
+                fresh = None
+            assert node_budget < 10**5 or not (cell is None or cell.budget_exceeded)
+            if cell is None:
+                continue
+            if fresh is not None and not (cell.budget_exceeded or fresh.budget_exceeded):
+                assert cell == fresh
+            gap = 0.0 if dist == "d" or cell.exact and cell.hi == 0 else abs(
+                specs[i].l2_norm() - specs[j].l2_norm())
+            inf = _oracle_infimum(specs[i], specs[j]) + gap
+            assert cell.lo - 1e-12 <= inf <= cell.hi + 1e-12, (i, j, cell)
 
 
 def test_criterion_6_circle_to_torus_spectra():

@@ -370,9 +370,9 @@ def test_starved_bracket_makes_logarithmically_many_probes(monkeypatch, moduli, 
     s1, s2 = dft(random_dense(G, seed)), dft(random_dense(G, seed + 100))
     n = len(metric._critical_candidates(s1, s2, metric.DEFAULT_WEIGHT_CAP))
     probes = []
-    search = metric._eps_iso
-    monkeypatch.setattr(metric, "_eps_iso",
-                        lambda *a, **k: probes.append(a[2]) or search(*a, **k))
+    search = metric._Probes.__call__
+    monkeypatch.setattr(metric._Probes, "__call__",
+                        lambda self, *a, **k: probes.append(a[2]) or search(self, *a, **k))
     b = dhat(s1, s2, node_budget=node_budget)
     assert b.budget_exceeded and b.lo <= b.hi
     assert 0 < len(probes) <= 2 * math.ceil(math.log2(n)) + 1 < n
@@ -388,7 +388,7 @@ def test_bisection_past_unknown_probes_stays_certified(n, data):
     unknown = data.draw(st.sets(st.integers(0, n - 1)))
     probes = []
 
-    def probe(f1, f2, eps, weight, node_budget, verdicts):
+    def probe(engine, f1, f2, eps, weight):
         probes.append(int(eps) - 1)
         if probes[-1] in unknown:
             raise BudgetError("out of nodes")
@@ -398,7 +398,7 @@ def test_bisection_past_unknown_probes_stays_certified(n, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_critical_candidates", lambda *a: [float(i + 1) for i in range(n)])
         mp.setattr(metric, "_exact_iso", lambda *a: None)
-        mp.setattr(metric, "_eps_iso", probe)
+        mp.setattr(metric._Probes, "__call__", probe)
         try:
             b = dhat(f, f)
         except BudgetError:
@@ -626,7 +626,7 @@ def test_bracket_computes_each_relation_verdict_once(monkeypatch, pair, node_bud
     # verdicts but gives the same bracket
     s1, s2 = pair()
     extended, memos = [], []
-    extend, init = metric._Ball.extend, metric._Verdicts.__init__
+    extend, init = metric._Ball.extend, metric._Probes.__init__
 
     def spy_extend(ball, gs, hs):
         res = extend(ball, gs, hs)
@@ -636,8 +636,8 @@ def test_bracket_computes_each_relation_verdict_once(monkeypatch, pair, node_bud
     monkeypatch.setattr(metric._Ball, "extend", spy_extend)
     runs = {}
     for cap in (None, 3, 0):
-        monkeypatch.setattr(metric._Verdicts, "__init__", lambda memo, limit: init(
-            memo, limit if cap is None else cap) or memos.append(memo))
+        monkeypatch.setattr(metric._Probes, "__init__", lambda memo, *a: init(memo, *a) or setattr(
+            memo, "limit", memo.limit if cap is None else cap) or memos.append(memo))
         extended.clear()
         memos.clear()
         b = dhat(s1, s2, node_budget=node_budget)
@@ -768,3 +768,38 @@ def test_overflowing_differences_are_dropped_without_a_warning():
     cands = metric._critical_candidates(f, g, 12)
     assert cands == critical_candidates_oracle(f, g, 12)
     assert cands[-1] == 1e308 and all(map(math.isfinite, cands))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st.integers(1, 400), n2=st.integers(1, 400), weight_cap=st.integers(1, 40),
+       spread=st.sampled_from([0.5, None]), seed=st.integers(0, 2**32 - 1))
+def test_critical_candidates_peak_stays_within_the_counted_entries(n1, n2, weight_cap, spread,
+                                                                   seed):
+    # Gaussian values, or values in [1, 1 + spread], whose differences are
+    # all distinct candidates below the largest value.  The peak is that of
+    # a second call, past NumPy's one-time allocations.  Slack: a merged
+    # candidate ends as 41 B (8 in the sorted array, a 24 B Python float
+    # and its pointer, over-allocated by up to 1/8) against 40 B counted for
+    # a difference, so 2.5% on the count, and 25 B more for each candidate
+    # that is no difference; one MERGE_CHUNK of Python floats (32 B each);
+    # and 64 KiB for NumPy's broadcasting buffers and fixed temporaries
+    rng = np.random.default_rng(seed)
+
+    def fn(n):
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) if spread is None
+             else 1.0 + spread * rng.random(n))
+        return SparseFn(make_group([n]), {(i,): complex(x) for i, x in enumerate(v)})
+
+    f1, f2 = fn(n1), fn(n2)
+    pairs, others = n1 * n2, n1 + n2 + weight_cap
+    counted = 3 * pairs + 2 * (pairs + others)
+    metric._critical_candidates(f1, f2, weight_cap)
+    tracemalloc.start()
+    try:
+        cands = metric._critical_candidates(f1, f2, weight_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cands == critical_candidates_oracle(f1, f2, weight_cap)
+    slack = 0.025 * 8 * counted + 25 * others + 32 * metric.MERGE_CHUNK + 64 * 1024
+    assert peak <= 8 * counted + slack, (peak, 8 * counted)

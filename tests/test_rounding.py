@@ -113,3 +113,35 @@ def test_round_best_of_checks_seed_and_tries_before_any_work(monkeypatch):
     for kwargs in ({"seed": 2**112}, {"seed": 2**120}, {"seed": 0, "tries": 2**16 + 1}):
         with pytest.raises(ValidationError):
             round_best_of(f, **kwargs)
+
+
+def _philox_state(bits):
+    """(key, counter) of a Philox bit generator, each as one integer."""
+    state = bits.state["state"]
+    return tuple(sum(int(x) << (64 * i) for i, x in enumerate(state[part]))
+                 for part in ("key", "counter"))
+
+
+def test_density_top_up_draws_from_no_rounding_try_stream(monkeypatch):
+    # the top-up of seed s shares its key with try 0 of seed s and with try s
+    # of seed 0; a stream is its key and the counter blocks from its first
+    # to its last draw, and no top-up stream may overlap a rounding stream
+    made = []
+    generator = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator",
+                        lambda bits: made.append((bits, _philox_state(bits)[1])) or generator(bits))
+    G = make_group([64])
+    f = DenseFn(G, 0.5 * np.random.default_rng(3).random(64).astype(np.complex128))
+
+    def streams(draw):
+        made.clear()
+        draw()
+        return [(_philox_state(bits)[0], first, _philox_state(bits)[1]) for bits, first in made]
+
+    rounds = streams(lambda: [round_best_of(f, seed, tries=6) for seed in (0, 1, 5)])
+    h = randomized_round(f, 0)
+    topups = streams(lambda: [adjust_density(h, 0.9, seed) for seed in range(6)])
+    assert len(rounds) == 18 and len(topups) == 6
+    for key, first, last in topups:
+        assert first < last
+        assert all(k != key or last < a or b < first for k, a, b in rounds), key
