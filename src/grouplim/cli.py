@@ -2,7 +2,8 @@
 reproducibility metadata on every run.
 
 Exit codes: 0 success, 1 validation error (including usage), 2 budget
-exceeded, 3 internal error.
+exceeded, 3 internal error, 141 (128 + SIGPIPE) when the reader of stdout
+closed it before the output was written.
 
 A call imports only what its subcommand runs: each command imports its
 numerical modules in its own body, and options with a fixed range are
@@ -395,8 +396,7 @@ def cmd_rho_curve(config_spec, p, deltas, restarts, seed, out_path):
     header = ["delta", "value", "grad_norm", "monotone_ok"]
     text = _csv_text(header, ([row[key] for key in header] for row in rows))
     if not out_path:
-        sys.stdout.write(text)
-        return None
+        return text
     _write_out(out_path, text)
     return {"rows": len(rows), "out": out_path}, {"seed": seed}
 
@@ -455,16 +455,31 @@ def cmd_converge(fn_glob, metric, tol, weight_cap, budget, out_path):
     return payload, {"tol": tol, "weight_cap": weight_cap, "budget": budget}
 
 
-def _emit(result, start: float) -> None:
-    """Print a command's (payload, meta) as one strict JSON line, meta
-    carrying the version and the time since the call started."""
+def _json_line(result, start: float) -> str:
+    """A command's (payload, meta) as one strict JSON line, meta carrying
+    the version and the time since the call started."""
     payload, meta = result
     payload["meta"] = {"version": __version__, "timing_s": time.monotonic() - start, **meta}
     try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise ValidationError("the result holds a non-finite number; an input may be too large")
-    print(text)
+
+
+def _write_stdout(text: str) -> int:
+    """Write and flush text on stdout: exit code 0, or 141 if the reader
+    has closed the pipe.  stdout then points at os.devnull, so that the
+    interpreter's flush at exit does not fail again (the recipe in the
+    documentation of Python's signal module)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return 0
 
 
 def main(argv=None) -> int:
@@ -472,9 +487,8 @@ def main(argv=None) -> int:
     try:
         run, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
         result = run(**kwargs)
-        if result is not None:  # a command that returns None wrote its output itself
-            _emit(result, start)
-        return 0
+        # a command returns (payload, meta) for one JSON line, or its own text
+        return _write_stdout(result if isinstance(result, str) else _json_line(result, start))
     except SystemExit:  # argparse exits only after printing --help
         return 0
     except KeyboardInterrupt:

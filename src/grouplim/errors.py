@@ -91,6 +91,14 @@ def check_search_limits(weight_cap: int, node_budget: int) -> None:
     check_count(node_budget, "node_budget")
 
 
+def check_budget(count, limit: int, what: str, hint: str = "") -> None:
+    """The one resource rule: refuse work whose count exceeds its limit,
+    checked before the work allocates anything.  what names the work with
+    its count; the refusal reads "<what>, over budget <limit>[; <hint>]"."""
+    if count > limit:
+        raise BudgetError(f"{what}, over budget {limit}" + (f"; {hint}" if hint else ""))
+
+
 def check_tol(tol: float) -> None:
     """Reject a Cauchy tolerance that is negative or not finite."""
     if not math.isfinite(tol) or tol < 0:

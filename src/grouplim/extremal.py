@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DENSITY_BUDGET, MAX_RESTARTS,
-                     RESTART_BITS, BudgetError, ValidationError, check_count, check_delta,
+                     RESTART_BITS, ValidationError, check_budget, check_count, check_delta,
                      check_seed)
 from .functions import DenseFn
 from .groups import GroupSpec, make_group
@@ -239,9 +239,8 @@ def _pgd(
     # gradient; per run its five counters; per slot its best point
     entries = (width * (_row_bytes(sols, n) // 8 + 8 * n + NONMONOTONE_WINDOW) + 5 * runs
                + (int(slots.max(initial=-1)) + 1) * n)
-    if entries > DENSITY_BUDGET:
-        raise BudgetError(f"the optimizer's pool holds {entries} int64-sized entries at its "
-                          f"peak, over budget {DENSITY_BUDGET}")
+    check_budget(entries, DENSITY_BUDGET,
+                 f"the optimizer's pool holds {entries} int64-sized entries at its peak")
     # per run: accepted steps (-1 before its start is evaluated), rejected
     # trial steps, value, step, and projected-gradient norm (nan until known)
     iters, backtracks = np.full(runs, -1), np.zeros(runs, dtype=np.int64)

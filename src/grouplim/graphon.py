@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_int
+from .errors import ValidationError, check_budget, check_int
 from .functions import DenseFn
 from .groups import GroupSpec
 from .linconfig import DENSITY_BUDGET, density_brute, graph_config, mean_over_assignments
@@ -70,11 +70,8 @@ def cayley_kernel(f: DenseFn) -> Kernel:
     """W(x, y) = f(x + y); symmetric because the group is abelian."""
     G = f.group
     n = G.order
-    if n > KERNEL_MAX_ORDER:
-        raise BudgetError(
-            f"group order {n} exceeds kernel guard {KERNEL_MAX_ORDER}; "
-            "use the configuration-density route instead"
-        )
+    check_budget(n, KERNEL_MAX_ORDER, f"a Cayley kernel on a group of order {n}",
+                 "use the configuration-density route instead")
     coords = G.coord_array()
     add_idx = G.flat_index(coords[:, None, :] + coords[None, :, :])
     return Kernel(G, f.values[add_idx])

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (
     DENSITY_BUDGET,
-    BudgetError,
     ValidationError,
+    check_budget,
     check_count,
     check_int,
     check_seed,
@@ -196,9 +196,8 @@ def mean_over_assignments(N: int, n: int, row_entries: int, products, budget: in
     CHUNK_BYTES, and computed in chunks that hold under CHUNK_BYTES with
     the block's products, which are held twice."""
     # past budget's bit length, n is over budget, and N**n would hold n*log2(N) bits
-    if N > 1 and n > budget.bit_length() or N**n > budget:
-        raise BudgetError(f"|A|^n = {N}^{n} exceeds evaluation budget {budget}")
-    total = N**n
+    total = math.inf if N > 1 and n > budget.bit_length() else N**n
+    check_budget(total, budget, f"|A|^n = {N}^{n} assignments")
     chunk = max(1, (CHUNK_BYTES - 32 * BLOCK) // (8 * row_entries))
     acc = 0.0 + 0.0j
     for first in range(0, total, BLOCK):
@@ -259,9 +258,8 @@ def dual_constraint_solutions(
             for m in group.moduli]
     total = math.prod(m // abs(t[j][j]) for m, t in zip(group.moduli, tris) for j in range(k))
     entries = total * (2 * k + 1)
-    if entries > budget:
-        raise BudgetError(f"dual constraint lattice has {total} points, over budget {budget}: "
-                          f"enumerating them holds {entries} int64 entries")
+    check_budget(entries, budget, f"dual constraint lattice has {total} points, and "
+                                  f"enumerating them holds {entries} int64 entries")
     flat = np.zeros((1, k), dtype=np.int64)
     for m, tri in zip(group.moduli, tris):
         flat *= m
@@ -346,9 +344,7 @@ def density_monte_carlo(
     Fs, group = _as_system(F, config.size, group)
     n, k = config.arity, config.size
     entries = samples * (2 * n + 3 * k + 2)
-    if entries > DENSITY_BUDGET:
-        raise BudgetError(f"{samples} samples hold {entries} int64-sized entries, "
-                          f"over budget {DENSITY_BUDGET}")
+    check_budget(entries, DENSITY_BUDGET, f"{samples} samples hold {entries} int64-sized entries")
     rng = np.random.Generator(np.random.Philox(key=seed))
     var_idx = rng.integers(0, group.order, size=(samples, n))
     prod = form_products(np.stack([f.values for f in Fs]), _form_indices(config, group, var_idx))
@@ -361,8 +357,7 @@ def cs_complexity_at_most_1(config: ConfigSystem) -> tuple[bool, list[bool]]:
     class's rational span containing the excluded form.  Exact integer
     rank computations, exhaustive over all bipartitions."""
     k = config.size
-    if k > 16:
-        raise BudgetError("cs complexity check limited to at most 16 forms")
+    check_budget(k, 16, f"the cs complexity check of {k} forms")
     if k < 2:
         raise ValidationError("cs complexity check needs at least 2 forms")
     rows = config.matrix()

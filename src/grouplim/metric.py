@@ -11,8 +11,10 @@ reported as a certified bracket between adjacent critical candidates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -25,6 +27,7 @@ from .errors import (
     BudgetError,
     PrecisionError,
     ValidationError,
+    check_budget,
     check_count,
     check_search_limits,
 )
@@ -355,9 +358,8 @@ def _critical_candidates(f1: SparseFn, f2: SparseFn, weight_cap: int) -> list[fl
     v1, v2 = (np.fromiter(f.entries.values(), complex, len(f.entries)) for f in (f1, f2))
     pairs, n = len(v1) * len(v2), len(v1) + len(v2) + weight_cap
     entries = 3 * pairs + 2 * (pairs + n)
-    if entries > DENSITY_BUDGET:
-        raise BudgetError(f"{pairs} critical differences hold {entries} int64-sized entries, "
-                          f"over budget {DENSITY_BUDGET}")
+    check_budget(entries, DENSITY_BUDGET,
+                 f"{pairs} critical differences hold {entries} int64-sized entries")
     # a difference that overflows exceeds DBL_MAX >= eps_max, so the filter
     # below drops it whatever its value
     with np.errstate(over="ignore"):
@@ -391,14 +393,17 @@ class _Probes:
     highest weight at which it is known consistent and the lowest at which
     it is known inconsistent.  A map consistent at a weight is consistent
     at every lower one, so a verdict is reused only in that direction.  At
-    most limit (node_budget) prefixes are kept; the others are checked each
-    time they come up."""
+    most limit (node_budget) prefixes are kept, least recently used first;
+    the others are checked each time they come up.  A full memo drops the
+    prefixes the current bracket has not used for those it meets, so a
+    bracket keeps every prefix that it would keep on a fresh engine."""
 
     def __init__(self, g1: GroupSpec, g2: GroupSpec, node_budget: int):
         self.g1, self.g2, self.node_budget, self.limit = g1, g2, node_budget, node_budget
-        self.ids: dict[tuple[int, Elem, Elem], int] = {}
-        # per prefix id, 0 being the empty map
-        self.ok, self.bad = [0], [math.inf]
+        # per kept prefix: [its id, ok, bad, the last bracket that used it]
+        self.memo: OrderedDict[tuple[int, Elem, Elem], list] = OrderedDict()
+        self.ids = itertools.count(1)  # 0 is the empty map; an id is never reused
+        self.brackets = 0
 
     def __call__(self, f1: SparseFn, f2: SparseFn, eps: float,
                  weight: Optional[int] = None) -> Optional[PartialIso]:
@@ -416,28 +421,34 @@ class _Probes:
     def checker(self, ball: _Ball) -> Callable[[list[Elem], list[Elem]], bool]:
         """The consistent(gs, hs) of _search at ball's weight: a known
         verdict costs nothing, another is computed by ball.extend."""
-        ids, ok, bad, weight = self.ids, self.ok, self.bad, ball.weight
+        memo, ids, limit, weight, now = self.memo, self.ids, self.limit, ball.weight, self.brackets
         # ids of the prefixes of the search's current map, -1 for one not kept
         path = [0]
 
         def consistent(gs: list[Elem], hs: list[Elem]) -> bool:
             del path[len(gs):]
             key = (path[-1], gs[-1], hs[-1])
-            i = ids.get(key) if path[-1] >= 0 else None
-            if i is not None and weight <= ok[i]:
-                path.append(i)
-                return True
-            if i is not None and weight >= bad[i]:
-                return False
+            e = memo.get(key) if path[-1] >= 0 else None
+            if e is not None:
+                if e[3] != now:  # its first use in this bracket
+                    e[3] = now
+                    memo.move_to_end(key)
+                if weight <= e[1]:
+                    path.append(e[0])
+                    return True
+                if weight >= e[2]:
+                    return False
             res = ball.extend(gs, hs)
-            if i is None and path[-1] >= 0 and len(ids) < self.limit:
-                i = ids[key] = len(ok)
-                ok.append(0)
-                bad.append(math.inf)
-            if i is not None:
-                (ok if res else bad)[i] = weight
+            if e is None and path[-1] >= 0:
+                # a full memo drops its least recently used prefix, unless this bracket used it
+                if 0 < limit <= len(memo) and next(iter(memo.values()))[3] != now:
+                    memo.popitem(last=False)
+                if len(memo) < limit:
+                    e = memo[key] = [next(ids), 0, math.inf, now]
+            if e is not None:
+                e[1 if res else 2] = weight
             if res:
-                path.append(-1 if i is None else i)
+                path.append(-1 if e is None else e[0])
             return res
 
         return consistent
@@ -447,6 +458,7 @@ class _Probes:
         """dhat(f1, f2, weight_cap, node_budget), or if tight the
         dprime_from_spectra of the spectra f1 and f2."""
         check_search_limits(weight_cap, self.node_budget)
+        self.brackets += 1
         if not f1.entries and not f2.entries:
             return DistBracket(0.0, 0.0, witness=PartialIso((), 1), exact=True)
 

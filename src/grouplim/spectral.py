@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, refuse_overflow
+from .errors import check_budget, refuse_overflow
 from .functions import DenseFn, SparseFn
 from .groups import GroupSpec
 
@@ -101,10 +101,7 @@ def u2_direct(f: DenseFn, max_order: int = U2_DIRECT_MAX_ORDER) -> float:
     averages factored out; cost O(|A|^2)."""
     G = f.group
     n = G.order
-    if n > max_order:
-        raise BudgetError(
-            f"group order {n} exceeds u2_direct guard {max_order}; use u2_fourier"
-        )
+    check_budget(n, max_order, f"u2_direct on a group of order {n}", "use u2_fourier")
     coords = G.coord_array()
     vals = f.values
     # scalar abs and powers added in index order: NumPy's vector forms

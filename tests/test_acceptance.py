@@ -298,7 +298,7 @@ def test_a_shared_probe_engine_changes_no_decided_bracket(seed, dist):
             mp.setattr(metric._Probes, "__init__",
                        lambda probes, *a: init(probes, *a) or engines.append(probes))
             table = pairwise_table(fs, dist, node_budget=node_budget)
-        assert len(engines) == 3 and all(len(e.ids) <= node_budget for e in engines)
+        assert len(engines) == 3 and all(len(e.memo) <= node_budget for e in engines)
         for i, j in itertools.combinations(range(len(fs)), 2):
             cell = table[i][j]
             try:
@@ -314,6 +314,34 @@ def test_a_shared_probe_engine_changes_no_decided_bracket(seed, dist):
                 specs[i].l2_norm() - specs[j].l2_norm())
             inf = _oracle_infimum(specs[i], specs[j]) + gap
             assert cell.lo - 1e-12 <= inf <= cell.hi + 1e-12, (i, j, cell)
+
+
+@pytest.mark.parametrize("dist", ["d", "dprime"])
+def test_a_full_shared_memo_starves_no_cell_that_a_fresh_engine_decides(dist):
+    # 40 tables of three sparse spectra on Z_6 and three on Z_2 x Z_4 at
+    # node budget 20, where the memo fills: a cell's bracket evicts the
+    # prefixes earlier cells kept, never its own, so every cell decided
+    # alone is decided in the table with the same [lo, hi]
+    alone = dhat if dist == "d" else dprime_from_spectra
+    decided = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        fs = [idft(_random_sparse(G, rng, int(rng.integers(1, 6))))
+              for G in [make_group([6])] * 3 + [make_group([2, 4])] * 3]
+        specs = [dft(f) for f in fs]
+        table = pairwise_table(fs, dist, node_budget=20)
+        for i, j in itertools.combinations(range(len(fs)), 2):
+            try:
+                fresh = alone(specs[i], specs[j], node_budget=20)
+            except BudgetError:
+                continue
+            if fresh.budget_exceeded:
+                continue
+            decided += 1
+            cell = table[i][j]
+            assert cell is not None and not cell.budget_exceeded, (seed, i, j, fresh)
+            assert (cell.lo, cell.hi) == (fresh.lo, fresh.hi), (seed, i, j, cell, fresh)
+    assert decided > 0
 
 
 def test_criterion_6_circle_to_torus_spectra():

@@ -138,7 +138,8 @@ def test_huge_p_exits_2_before_enumerating_the_dual_lattice(capsys, argv):
     code = main(argv + ["--config", "ap3", "--p", "2305843009213693951"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert "2305843009213693951 points, over budget" in captured.err
+    assert "2305843009213693951 points, and enumerating them" in captured.err
+    assert captured.err.endswith(", over budget 100000000\n")
 
 
 @pytest.mark.parametrize("argv", [["minimize", "--delta", "0.5"], ["rho-curve"]])
@@ -255,6 +256,34 @@ def test_out_write_errors_exit_1(capsys, monkeypatch, tmp_path, dense_file, comm
     assert (code, captured.out) == (1, "")
     assert captured.err.startswith("error: cannot write") and "internal error" not in captured.err
     assert not (tmp_path / "missing").exists()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has closed the pipe, on the file descriptor fd."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", [["dft", "--fn", "FN"], OUT_COMMANDS[0]],
+                         ids=["json", "csv"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, tmp_path,
+                                                          dense_file, command):
+    # both writers, the JSON line and rho-curve's CSV, end as a process
+    # killed by SIGPIPE would (128 + 13), with stdout pointed at os.devnull
+    argv = [dense_file if arg == "FN" else arg for arg in command]
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(argv)
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert (code, capsys.readouterr().err) == (141, "")
 
 
 def test_out_in_a_read_only_directory_exits_1(capsys, monkeypatch, tmp_path):

@@ -394,3 +394,9 @@ def test_cs_complexity_classifications():
     ap4 = config_from_forms([[1, 0], [1, 1], [1, 2], [1, 3]])
     ok, _ = cs_complexity_at_most_1(ap4)
     assert not ok
+
+
+def test_cs_complexity_refuses_more_than_16_forms():
+    forms = [[1, j] for j in range(17)]
+    with pytest.raises(BudgetError, match="^the cs complexity check of 17 forms, over budget 16$"):
+        cs_complexity_at_most_1(config_from_forms(forms))

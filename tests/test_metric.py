@@ -642,13 +642,13 @@ def test_bracket_computes_each_relation_verdict_once(monkeypatch, pair, node_bud
         memos.clear()
         b = dhat(s1, s2, node_budget=node_budget)
         [memo] = memos
-        assert len(memo.ids) <= (node_budget if cap is None else cap)
+        assert len(memo.memo) <= (node_budget if cap is None else cap)
         runs[cap] = b.to_json(), list(extended)
         # every verdict kept is the ball's for the map its key chain spells
         prefix = {0: ()}
-        for (parent, g, h), i in memo.ids.items():
+        for (parent, g, h), (i, ok, bad, _) in memo.memo.items():
             prefix[i] = prefix[parent] + ((g, h),)
-            for w, verdict in ((memo.ok[i], True), (memo.bad[i], False)):
+            for w, verdict in ((ok, True), (bad, False)):
                 if 0 < w < math.inf:
                     ball = metric._Ball(s1.group, s2.group, w,
                                         metric._Budget(DEFAULT_NODE_BUDGET), s1.entries,

@@ -146,5 +146,6 @@ def test_u2_sandwich_between_sup_norm_bounds():
 def test_u2_direct_guards_large_orders():
     G = make_group([8192])
     f = constant_fn(G, 0.5)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="^u2_direct on a group of order 8192, over budget 4096; "
+                                          "use u2_fourier$"):
         u2_direct(f)
